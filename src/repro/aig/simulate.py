@@ -7,7 +7,7 @@ truth tables of small cuts during rewriting and technology mapping.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
 
@@ -99,3 +99,24 @@ def node_signatures(aig: Aig, num_words: int = 2, seed: int = 7) -> Dict[int, in
         for var in range(aig.num_nodes):
             sigs[var] = (sigs.get(var, 0) * 1000003 + values[var]) & ((1 << 128) - 1)
     return sigs
+
+
+def simulation_signatures(aig: Aig, num_words: int, seed: int) -> Dict[int, Tuple[int, ...]]:
+    """Per-variable simulation signatures over ``num_words`` random words."""
+    rng = random.Random(seed)
+    sigs: Dict[int, List[int]] = {var: [] for var in range(aig.num_nodes)}
+    for _ in range(num_words):
+        values = [0] * aig.num_nodes
+        for var in aig.pis:
+            values[var] = rng.getrandbits(WORD_BITS)
+        for node in aig.and_nodes():
+            v0 = values[lit_var(node.fanin0)]
+            if lit_is_compl(node.fanin0):
+                v0 ^= WORD_MASK
+            v1 = values[lit_var(node.fanin1)]
+            if lit_is_compl(node.fanin1):
+                v1 ^= WORD_MASK
+            values[node.var] = v0 & v1
+        for var in range(aig.num_nodes):
+            sigs[var].append(values[var])
+    return {var: tuple(words) for var, words in sigs.items()}

@@ -345,7 +345,12 @@ def _add_emorphic_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="evaluate SA candidates with the learned cost model (trains a small default model)",
     )
-    parser.add_argument("--no-verify", action="store_true", help="skip the final equivalence check")
+    parser.add_argument(
+        "--no-verify",
+        action="store_true",
+        help="skip the final equivalence check; otherwise a verdict other than "
+        "`equivalent` makes the command exit 1",
+    )
     parser.add_argument("--no-choices", action="store_true", help="disable choice computation (dch)")
 
 
@@ -368,6 +373,14 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
 
         config.ml_model = default_ml_model()
     return config
+
+
+def _verdict_status(result) -> int:
+    """Exit status of a flow: 1 when a ``cec`` ran and did not prove equivalence."""
+    if result.equivalence is not None and result.equivalence.status != "equivalent":
+        _LOG.error(f"unverified result: equivalence check ended {result.equivalence.status!r}")
+        return 1
+    return 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -432,7 +445,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "run", aig.name, result, tracer, flow="emorphic", config=config.to_dict()
         ),
     )
-    return 0
+    return _verdict_status(result)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -509,7 +522,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         args,
         _result_ledger_record("pipeline", aig.name, result, tracer, script=pipeline.to_script()),
     )
-    return 0
+    return _verdict_status(result)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -527,11 +540,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{len(tracer.records)} spans, {len(to_chrome_trace(tracer)['traceEvents'])} trace events; "
         f"final ands={stats['ands']} levels={stats['levels']}"
     )
+    if result.equivalence is not None:
+        print(f"equivalence check: {result.equivalence.status}")
     if args.out:
         write_chrome_trace(tracer, args.out)
         _LOG.info(f"trace written to {args.out}")
     _maybe_metrics(args)
-    return 0
+    return _verdict_status(result)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -565,7 +580,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             json.dump(payload, handle, indent=2)
         _LOG.info(f"attribution written to {args.json}")
     _maybe_metrics(args)
-    return 0
+    return _verdict_status(result)
 
 
 def cmd_scripts(args: argparse.Namespace) -> int:

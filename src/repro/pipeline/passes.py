@@ -639,3 +639,6 @@ def _pass_cec(ctx: FlowContext, sim_words: int = 8, conflict_budget: int = 20_00
         ctx.original, ctx.aig, sim_words=sim_words, conflict_budget=conflict_budget
     )
     ctx.metrics["equivalence"] = ctx.equivalence.status
+    ctx.metrics["cec_conflicts"] = ctx.equivalence.conflicts
+    ctx.metrics["cec_sat_calls"] = ctx.equivalence.sat_calls
+    ctx.metrics["cec_merged_pairs"] = ctx.equivalence.merged_pairs

@@ -1,30 +1,45 @@
-"""Combinational equivalence checking (ABC's ``cec``).
+"""Combinational equivalence checking (ABC's ``cec``) by SAT sweeping.
 
-The check first runs bit-parallel random simulation to look for a cheap
-counterexample, then proves equivalence output by output with the CDCL
-solver on a miter.
+The two circuits are strashed into one union AIG over shared inputs, which
+already merges their structurally identical nodes.  Random simulation of the
+union looks for a cheap counterexample at the outputs and buckets every node
+by its polarity-normalised signature.  One :class:`SatSession` then sweeps
+the second circuit's nodes in topological order, proving each against the
+first node of the first circuit in its bucket and merging it when proven, and
+proves the output pairs last on the reduced problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.aig.graph import Aig, lit_var
-from repro.aig.simulate import random_simulate
-from repro.verify.cnf import Cnf, encode_miter_output, encode_or, tseitin_encode
-from repro.verify.sat import SatSolver
+from repro.aig.graph import Aig, lit_is_compl, lit_var, var_lit
+from repro.aig.simulate import WORD_MASK, simulation_signatures
+from repro.verify.session import SatSession
+
+#: Conflicts allowed for proving one internal node pair while sweeping.  A
+#: pair that needs more is left unmerged; only the outputs must be decided.
+SWEEP_CONFLICT_BUDGET = 50
 
 
 @dataclass
 class CecResult:
-    """Result of a combinational equivalence check."""
+    """Result of a combinational equivalence check.
+
+    ``conflicts`` and ``sat_calls`` total the whole sweeping session (the
+    internal node pairs as well as the outputs); ``merged_pairs`` counts the
+    pairs it proved equal and merged.  A counterexample, when present, maps PI
+    names of the first circuit to values that make ``failing_output`` differ.
+    """
 
     equivalent: bool
     status: str  # "equivalent", "counterexample", "unknown"
     counterexample: Optional[Dict[str, bool]] = None
     failing_output: Optional[int] = None
     conflicts: int = 0
+    sat_calls: int = 0
+    merged_pairs: int = 0
 
     def __bool__(self) -> bool:
         return self.equivalent
@@ -50,22 +65,28 @@ def miter(aig_a: Aig, aig_b: Aig) -> Aig:
         raise ValueError("miter requires matching PI/PO counts")
     m = Aig(name=f"miter_{aig_a.name}_{aig_b.name}")
     pis = [m.add_pi(aig_a.node(v).name) for v in aig_a.pis]
-
-    def copy_into(src: Aig) -> List[int]:
-        old2new = {0: 0}
-        for var, lit in zip(src.pis, pis):
-            old2new[var] = lit
-        for node in src.and_nodes():
-            f0 = old2new[lit_var(node.fanin0)] ^ (node.fanin0 & 1)
-            f1 = old2new[lit_var(node.fanin1)] ^ (node.fanin1 & 1)
-            old2new[node.var] = m.add_and(f0, f1)
-        return [old2new[lit_var(lit)] ^ (lit & 1) for lit, _ in src.pos]
-
-    outs_a = copy_into(aig_a)
-    outs_b = copy_into(aig_b)
+    outs_a = _strash_into(m, aig_a, pis)
+    outs_b = _strash_into(m, aig_b, pis)
     diffs = [m.add_xor(a, b) for a, b in zip(outs_a, outs_b)]
     m.add_po(m.add_or_multi(diffs), "diff")
     return m
+
+
+def _strash_into(dst: Aig, src: Aig, pis: List[int]) -> List[int]:
+    """Strash ``src`` into ``dst`` over the PI literals ``pis``; returns its output literals."""
+    old2new = {0: 0}
+    for var, lit in zip(src.pis, pis):
+        old2new[var] = lit
+    for node in src.and_nodes():
+        f0 = old2new[lit_var(node.fanin0)] ^ (node.fanin0 & 1)
+        f1 = old2new[lit_var(node.fanin1)] ^ (node.fanin1 & 1)
+        old2new[node.var] = dst.add_and(f0, f1)
+    return [old2new[lit_var(lit)] ^ (lit & 1) for lit, _ in src.pos]
+
+
+def _lit_words(sigs: Dict[int, Tuple[int, ...]], lit: int) -> Tuple[int, ...]:
+    words = sigs[lit_var(lit)]
+    return tuple(w ^ WORD_MASK for w in words) if lit_is_compl(lit) else words
 
 
 def check_equivalence(
@@ -73,121 +94,83 @@ def check_equivalence(
     aig_b: Aig,
     sim_words: int = 8,
     conflict_budget: Optional[int] = None,
-    per_output: bool = True,
 ) -> CecResult:
     """Check that two AIGs are functionally equivalent.
 
-    ``per_output`` proves each output pair separately (usually faster);
-    otherwise a single OR-miter is solved.  A ``conflict_budget`` makes the
-    check incomplete but bounded, returning status ``"unknown"`` on timeout.
+    Each output pair gets at most ``conflict_budget`` conflicts; a pair that
+    needs more makes the check end with status ``"unknown"``.
     """
     if aig_a.num_pis != aig_b.num_pis or aig_a.num_pos != aig_b.num_pos:
         return CecResult(equivalent=False, status="counterexample")
 
+    union = Aig(name=f"union_{aig_a.name}_{aig_b.name}")
+    pis = [union.add_pi(aig_a.node(v).name) for v in aig_a.pis]
+    outs_a = _strash_into(union, aig_a, pis)
+    num_a_nodes = union.num_nodes
+    outs_b = _strash_into(union, aig_b, pis)
+
     # Fast path: random simulation to catch easy mismatches.
-    sims_a = random_simulate(aig_a, num_words=sim_words, seed=99)
-    sims_b = random_simulate(aig_b, num_words=sim_words, seed=99)
-    for words_a, words_b in zip(sims_a, sims_b):
-        for out_idx, (wa, wb) in enumerate(zip(words_a, words_b)):
+    sigs = simulation_signatures(union, num_words=sim_words, seed=99)
+    for out_idx, (la, lb) in enumerate(zip(outs_a, outs_b)):
+        for word, (wa, wb) in enumerate(zip(_lit_words(sigs, la), _lit_words(sigs, lb))):
             if wa != wb:
-                return CecResult(equivalent=False, status="counterexample", failing_output=out_idx)
+                bit = ((wa ^ wb) & -(wa ^ wb)).bit_length() - 1
+                values = [bool((sigs[var][word] >> bit) & 1) for var in union.pis]
+                return _counterexample(aig_a, values, out_idx, None)
 
-    # SAT proof.
-    cnf = Cnf()
-    _, map_a, outs_a = tseitin_encode(aig_a, cnf)
-    # Share PI variables between the two circuits.
-    cnf_b_inputs: Dict[int, int] = {}
-    for va, vb in zip(aig_a.pis, aig_b.pis):
-        cnf_b_inputs[vb] = map_a[va]
-    _, map_b, outs_b = _tseitin_with_shared_inputs(aig_b, cnf, cnf_b_inputs)
-
-    total_conflicts = 0
-    if per_output:
-        for out_idx, (la, lb) in enumerate(zip(outs_a, outs_b)):
-            # Encode the XOR on a copy of the CNF so each output gets a fresh solver.
-            local = Cnf(num_vars=cnf.num_vars, clauses=[list(c) for c in cnf.clauses])
-            x = encode_miter_output(local, la, lb)
-            local.add_clause([x])
-            result = SatSolver(local).solve(conflict_budget=conflict_budget)
-            total_conflicts += result.conflicts
-            if result.status == "sat":
-                cex = _extract_cex(aig_a, map_a, result.model)
-                return CecResult(
-                    equivalent=False,
-                    status="counterexample",
-                    counterexample=cex,
-                    failing_output=out_idx,
-                    conflicts=total_conflicts,
-                )
-            if result.status == "unknown":
-                return CecResult(equivalent=False, status="unknown", conflicts=total_conflicts)
-        return CecResult(equivalent=True, status="equivalent", conflicts=total_conflicts)
-
-    xor_lits = [encode_miter_output(cnf, la, lb) for la, lb in zip(outs_a, outs_b)]
-    diff = encode_or(cnf, xor_lits)
-    cnf.add_clause([diff])
-    result = SatSolver(cnf).solve(conflict_budget=conflict_budget)
-    if result.status == "sat":
-        return CecResult(
-            equivalent=False,
-            status="counterexample",
-            counterexample=_extract_cex(aig_a, map_a, result.model),
-            conflicts=result.conflicts,
-        )
-    if result.status == "unknown":
-        return CecResult(equivalent=False, status="unknown", conflicts=result.conflicts)
-    return CecResult(equivalent=True, status="equivalent", conflicts=result.conflicts)
+    session = SatSession(union)
+    _sweep(session, sigs, num_a_nodes, union.num_nodes)
+    for out_idx, (la, lb) in enumerate(zip(outs_a, outs_b)):
+        verdict = session.prove(la, lb, conflict_budget)
+        if verdict == "different":
+            return _counterexample(aig_a, session.input_values(), out_idx, session)
+        if verdict == "unknown":
+            return CecResult(equivalent=False, status="unknown", **_counters(session))
+    return CecResult(equivalent=True, status="equivalent", **_counters(session))
 
 
-def _tseitin_with_shared_inputs(aig: Aig, cnf: Cnf, input_map: Dict[int, int]):
-    """Tseitin-encode ``aig`` reusing pre-assigned CNF variables for its PIs."""
-    from repro.aig.graph import lit_is_compl
+def _sweep(session: SatSession, sigs: Dict[int, Tuple[int, ...]], num_a_nodes: int, num_nodes: int) -> None:
+    """Merge the second circuit's nodes into the first's, bottom-up.
 
-    var_map: Dict[int, int] = {}
-    const_var = cnf.new_var()
-    var_map[0] = const_var
-    cnf.add_clause([-const_var])
-    for var in aig.pis:
-        var_map[var] = input_map[var]
-
-    def cnf_lit(aig_lit: int) -> int:
-        v = var_map[lit_var(aig_lit)]
-        return -v if lit_is_compl(aig_lit) else v
-
-    for node in aig.and_nodes():
-        out = cnf.new_var()
-        var_map[node.var] = out
-        a = cnf_lit(node.fanin0)
-        b = cnf_lit(node.fanin1)
-        cnf.add_clause([-out, a])
-        cnf.add_clause([-out, b])
-        cnf.add_clause([out, -a, -b])
-    outputs = [cnf_lit(lit) for lit, _ in aig.pos]
-    return cnf, var_map, outputs
+    Variables below ``num_a_nodes`` are the constant, the PIs and the first
+    circuit's AND nodes; the rest are the second circuit's AND nodes that
+    strashing did not already merge, in topological order.
+    """
+    first: Dict[Tuple[int, ...], int] = {}
+    for var in range(num_nodes):
+        words = sigs[var]
+        phase = words[0] & 1 if words else 0
+        key = tuple(w ^ WORD_MASK for w in words) if phase else words
+        if var < num_a_nodes:
+            first.setdefault(key, var_lit(var, bool(phase)))
+        elif key in first:
+            session.prove(first[key], var_lit(var, bool(phase)), SWEEP_CONFLICT_BUDGET)
 
 
-def _extract_cex(aig: Aig, var_map: Dict[int, int], model: Optional[Dict[int, bool]]) -> Dict[str, bool]:
-    if model is None:
+def _counters(session: Optional[SatSession]) -> Dict[str, int]:
+    if session is None:
         return {}
-    cex = {}
-    for i, var in enumerate(aig.pis):
-        name = aig.node(var).name or f"pi{i}"
-        cex[name] = model.get(var_map[var], False)
-    return cex
+    return {
+        "conflicts": session.conflicts,
+        "sat_calls": session.sat_calls,
+        "merged_pairs": session.merged_pairs,
+    }
+
+
+def _counterexample(aig: Aig, values: List[bool], out_idx: int, session: Optional[SatSession]) -> CecResult:
+    cex = {aig.node(var).name or f"pi{i}": value for i, (var, value) in enumerate(zip(aig.pis, values))}
+    return CecResult(
+        equivalent=False,
+        status="counterexample",
+        counterexample=cex,
+        failing_output=out_idx,
+        **_counters(session),
+    )
 
 
 def prove_equivalent_vars(aig: Aig, var_a: int, var_b: int, conflict_budget: int = 2000) -> str:
     """Prove two internal AIG variables equal (same polarity).
 
-    Returns "equivalent", "different", or "unknown".  Used by the choice
-    computation to validate simulation-detected candidate equivalences.
+    Returns "equivalent", "different", or "unknown".
     """
-    cnf, var_map, _ = tseitin_encode(aig)
-    x = encode_miter_output(cnf, var_map[var_a], var_map[var_b])
-    cnf.add_clause([x])
-    result = SatSolver(cnf).solve(conflict_budget=conflict_budget)
-    if result.status == "sat":
-        return "different"
-    if result.status == "unsat":
-        return "equivalent"
-    return "unknown"
+    return SatSession(aig).prove(var_a << 1, var_b << 1, conflict_budget)

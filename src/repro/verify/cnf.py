@@ -36,12 +36,15 @@ class Cnf:
         return "\n".join(lines) + "\n"
 
 
-def tseitin_encode(aig: Aig, cnf: Optional[Cnf] = None) -> Tuple[Cnf, Dict[int, int], List[int]]:
+def tseitin_encode(
+    aig: Aig, cnf: Optional[Cnf] = None, input_map: Optional[Dict[int, int]] = None
+) -> Tuple[Cnf, Dict[int, int], List[int]]:
     """Tseitin-encode an AIG.
 
     Returns (cnf, var_map, output_literals) where ``var_map`` maps AIG
     variables to CNF variables and ``output_literals`` gives one signed CNF
-    literal per primary output.
+    literal per primary output.  ``input_map``, when given, supplies the CNF
+    variable of every PI, so a second circuit can share a first one's inputs.
     """
     if cnf is None:
         cnf = Cnf()
@@ -53,7 +56,7 @@ def tseitin_encode(aig: Aig, cnf: Optional[Cnf] = None) -> Tuple[Cnf, Dict[int, 
     cnf.add_clause([-const_var])
 
     for var in aig.pis:
-        var_map[var] = cnf.new_var()
+        var_map[var] = cnf.new_var() if input_map is None else input_map[var]
 
     def cnf_lit(aig_lit: int) -> int:
         v = var_map[lit_var(aig_lit)]

@@ -1,14 +1,19 @@
 """A CDCL SAT solver with two-watched-literal propagation.
 
-Feature set: first-UIP clause learning, VSIDS-style activity with decay,
-Luby-free geometric restarts, and an optional conflict budget so callers
-(e.g. the choice computation) can bail out on hard instances.
+Feature set: first-UIP clause learning, VSIDS-style activity with decay (a
+lazy max-heap picks the next decision), geometric restarts, solving under
+assumptions, and an optional conflict budget so callers (e.g. the sweeping
+session) can bail out on hard instances.
+
+The solver is incremental: clauses may be added between :meth:`SatSolver.solve`
+calls, and everything learnt under assumptions stays valid for later calls.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.verify.cnf import Cnf
 
@@ -32,7 +37,7 @@ class SatResult:
 
 
 class SatSolver:
-    """CDCL solver over a fixed CNF."""
+    """Incremental CDCL solver over a fixed set of variables."""
 
     def __init__(self, cnf: Cnf):
         self.num_vars = cnf.num_vars
@@ -43,18 +48,30 @@ class SatSolver:
         self.reason: List[Optional[int]] = [None] * (self.num_vars + 1)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
+        self._qhead = 0
         self.activity: List[float] = [0.0] * (self.num_vars + 1)
+        # Lazy decision heap of (-activity, var): an entry is live while it
+        # matches the variable's current activity and the variable is
+        # unassigned.  Every unassigned variable has a live entry.
+        self._heap: List[Tuple[float, int]] = [(0.0, var) for var in range(1, self.num_vars + 1)]
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.ok = True
         for clause in cnf.clauses:
-            self._add_clause(list(dict.fromkeys(clause)))
+            self.add_clause(clause)
 
     # -- clause management ----------------------------------------------------
 
-    def _add_clause(self, clause: List[int]) -> None:
+    def add_clause(self, clause: List[int]) -> None:
+        """Add a clause; allowed before and between :meth:`solve` calls.
+
+        The solver is always at decision level 0 between calls, and every
+        call re-propagates the whole trail, so a clause that is unit or
+        falsified under the root assignment takes effect on the next call.
+        """
         if not self.ok:
             return
+        clause = list(dict.fromkeys(clause))
         if any(-lit in clause for lit in clause):
             return  # tautology
         if not clause:
@@ -89,44 +106,55 @@ class SatSolver:
 
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause index or None."""
-        head = getattr(self, "_qhead", 0)
-        while head < len(self.trail):
-            lit = self.trail[head]
+        assign = self.assign
+        clauses = self.clauses
+        watches = self.watches
+        trail = self.trail
+        head = self._qhead
+        while head < len(trail):
+            false_lit = -trail[head]
             head += 1
-            false_lit = -lit
-            watch_list = self.watches.get(false_lit, [])
+            watch_list = watches.get(false_lit)
+            if not watch_list:
+                continue
             new_list = []
             i = 0
-            while i < len(watch_list):
+            end = len(watch_list)
+            while i < end:
                 ci = watch_list[i]
                 i += 1
-                clause = self.clauses[ci]
+                clause = clauses[ci]
                 # Ensure the false literal is in position 1.
                 if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = false_lit
                 first = clause[0]
-                if self._value(first) == 1:
+                first_value = assign[first] if first > 0 else -assign[-first]
+                if first_value == 1:
                     new_list.append(ci)
                     continue
                 # Look for a new literal to watch.
-                found = False
                 for j in range(2, len(clause)):
-                    if self._value(clause[j]) != -1:
-                        clause[1], clause[j] = clause[j], clause[1]
-                        self.watches.setdefault(clause[1], []).append(ci)
-                        found = True
+                    other = clause[j]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1] = other
+                        clause[j] = false_lit
+                        watches.setdefault(other, []).append(ci)
                         break
-                if found:
-                    continue
-                new_list.append(ci)
-                if self._value(first) == -1:
-                    # Conflict: restore remaining watches and report.
-                    new_list.extend(watch_list[i:])
-                    self.watches[false_lit] = new_list
-                    self._qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[false_lit] = new_list
+                else:
+                    new_list.append(ci)
+                    if first_value == -1:
+                        # Conflict: restore remaining watches and report.
+                        new_list.extend(watch_list[i:])
+                        watches[false_lit] = new_list
+                        self._qhead = len(trail)
+                        return ci
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    self.level[var] = len(self.trail_lim)
+                    self.reason[var] = ci
+                    trail.append(first)
+            watches[false_lit] = new_list
         self._qhead = head
         return None
 
@@ -138,6 +166,9 @@ class SatSolver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()
+        elif self.assign[var] == 0:
+            heapq.heappush(self._heap, (-self.activity[var], var))
 
     def _analyze(self, conflict: int) -> tuple[List[int], int]:
         """First-UIP learning; returns (learnt clause, backtrack level)."""
@@ -180,52 +211,67 @@ class SatSolver:
         return learnt, back_level
 
     def _backtrack(self, level: int) -> None:
+        heap = self._heap
+        activity = self.activity
         while len(self.trail_lim) > level:
             limit = self.trail_lim.pop()
             while len(self.trail) > limit:
-                lit = self.trail.pop()
-                var = abs(lit)
+                var = abs(self.trail.pop())
                 self.assign[var] = 0
                 self.reason[var] = None
+                heapq.heappush(heap, (-activity[var], var))
         self._qhead = len(self.trail)
+        if len(heap) > 4 * self.num_vars + 64:
+            self._rebuild_heap()
+
+    def _rebuild_heap(self) -> None:
+        """Drop dead heap entries: one live entry per unassigned variable."""
+        self._heap = [(-self.activity[v], v) for v in range(1, self.num_vars + 1) if self.assign[v] == 0]
+        heapq.heapify(self._heap)
 
     def _decide(self) -> Optional[int]:
-        best_var = None
-        best_act = -1.0
-        for var in range(1, self.num_vars + 1):
-            if self.assign[var] == 0 and self.activity[var] > best_act:
-                best_var = var
-                best_act = self.activity[var]
-        if best_var is None:
-            return None
-        return best_var  # default polarity: positive
+        """The unassigned variable of highest activity, lowest index on ties."""
+        heap = self._heap
+        while heap:
+            neg_act, var = heapq.heappop(heap)
+            if self.assign[var] == 0 and -neg_act == self.activity[var]:
+                return var  # default polarity: positive
+        return None
 
     # -- main search ----------------------------------------------------------
 
     def solve(self, assumptions: Optional[List[int]] = None, conflict_budget: Optional[int] = None) -> SatResult:
-        """Solve the formula, optionally under assumptions and a conflict budget."""
+        """Solve the formula, optionally under assumptions and a conflict budget.
+
+        The solver returns at decision level 0.  Units learnt during the call
+        hold without the assumptions, so they are kept on the root trail.
+        """
         if not self.ok:
             return SatResult(status="unsat")
         self._qhead = 0
+        if self._propagate() is not None:
+            self.ok = False
+            return SatResult(status="unsat")
+        learnt_units: List[int] = []
+        result = self._search(list(assumptions or []), conflict_budget, learnt_units)
+        self._backtrack(0)
+        for lit in learnt_units:
+            if not self._enqueue(lit, None):
+                self.ok = False
+        return result
+
+    def _search(self, assumptions: List[int], conflict_budget: Optional[int], learnt_units: List[int]) -> SatResult:
         conflicts = 0
         decisions = 0
         restart_limit = 64
-
-        if self._propagate() is not None:
-            return SatResult(status="unsat")
-        root_trail = len(self.trail)
-
-        assumptions = list(assumptions or [])
         for lit in assumptions:
             if self._value(lit) == -1:
-                self._backtrack_to_root(root_trail)
-                return SatResult(status="unsat", conflicts=conflicts, decisions=decisions)
+                return SatResult(status="unsat")
             if self._value(lit) == 0:
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(lit, None)
                 if self._propagate() is not None:
-                    self._backtrack_to_root_full(root_trail)
-                    return SatResult(status="unsat", conflicts=conflicts, decisions=decisions)
+                    return SatResult(status="unsat")
         assumption_levels = len(self.trail_lim)
 
         while True:
@@ -233,16 +279,14 @@ class SatSolver:
             if conflict is not None:
                 conflicts += 1
                 if conflict_budget is not None and conflicts > conflict_budget:
-                    self._backtrack_to_root_full(root_trail)
                     return SatResult(status="unknown", conflicts=conflicts, decisions=decisions)
                 if len(self.trail_lim) <= assumption_levels:
-                    self._backtrack_to_root_full(root_trail)
                     return SatResult(status="unsat", conflicts=conflicts, decisions=decisions)
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(max(back_level, assumption_levels))
                 if len(learnt) == 1:
+                    learnt_units.append(learnt[0])
                     if not self._enqueue(learnt[0], None):
-                        self._backtrack_to_root_full(root_trail)
                         return SatResult(status="unsat", conflicts=conflicts, decisions=decisions)
                 else:
                     # Watch the asserting literal and the highest-level other
@@ -263,20 +307,10 @@ class SatSolver:
                 var = self._decide()
                 if var is None:
                     model = {v: self.assign[v] == 1 for v in range(1, self.num_vars + 1)}
-                    self._backtrack_to_root_full(root_trail)
                     return SatResult(status="sat", model=model, conflicts=conflicts, decisions=decisions)
                 decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(var, None)
-
-    def _backtrack_to_root_full(self, root_trail: int) -> None:
-        self._backtrack(0)
-        # Keep root-level assignments (units learned before assumptions).
-        del root_trail
-
-    def _backtrack_to_root(self, root_trail: int) -> None:
-        self._backtrack(0)
-        del root_trail
 
 
 def solve_cnf(cnf: Cnf, assumptions: Optional[List[int]] = None, conflict_budget: Optional[int] = None) -> SatResult:

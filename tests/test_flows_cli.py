@@ -110,3 +110,35 @@ class TestCli:
         assert main(["baseline", "mem_ctrl", "--preset", "test", "--no-choices"]) == 0
         out = capsys.readouterr().out
         assert "area=" in out and "delay=" in out
+
+
+class TestUnverifiedExitStatus:
+    """A flow whose ``cec`` does not prove equivalence fails the exit status."""
+
+    @pytest.fixture
+    def unknown_cec(self, monkeypatch):
+        from repro.pipeline import passes
+        from repro.verify.cec import CecResult
+
+        monkeypatch.setattr(
+            passes, "check_equivalence", lambda *args, **kwargs: CecResult(equivalent=False, status="unknown")
+        )
+
+    def test_scripted_commands_fail(self, unknown_cec, capsys):
+        script = "st; balance; cec"
+        circuit = ["-c", "mem_ctrl", "--preset", "test"]
+        assert main(["pipeline", *circuit, "--script", script, "--no-ledger"]) == 1
+        assert main(["trace", script, *circuit]) == 1
+        assert main(["explain", script, *circuit]) == 1
+        assert capsys.readouterr().out.count("equivalence check: unknown") == 3
+        # No cec pass, no verdict to fail on.
+        assert main(["pipeline", *circuit, "--script", "st; balance", "--no-ledger"]) == 0
+
+    def test_run_fails_unless_verification_is_skipped(self, unknown_cec):
+        argv = ["run", "mem_ctrl", "--preset", "test", "--iterations", "1", "--sa-iterations", "1"]
+        argv += ["--no-choices", "--no-ledger"]
+        assert main(argv) == 1
+        assert main(argv + ["--no-verify"]) == 0
+
+    def test_equivalent_run_succeeds(self):
+        assert main(["pipeline", "-c", "mem_ctrl", "--preset", "test", "--script", "st; balance; cec", "--no-ledger"]) == 0

@@ -186,6 +186,15 @@ class TestPipelineExecution:
         assert run_result.mapping.delay > 0 and run_result.mapping.area > 0
         assert check_equivalence(small_adder, run_result.aig).equivalent
 
+    def test_cec_pass_records_solver_counters(self, small_adder):
+        result = Pipeline.from_script("st; sopb; cec").run_flow(small_adder)
+        metrics = result.metrics
+        assert metrics["equivalence"] == "equivalent"
+        assert metrics["cec_conflicts"] == result.equivalence.conflicts
+        assert metrics["cec_sat_calls"] == result.equivalence.sat_calls
+        assert metrics["cec_merged_pairs"] == result.equivalence.merged_pairs
+        assert metrics["cec_sat_calls"] >= 2 * metrics["cec_merged_pairs"] > 0
+
     def test_per_pass_timings_cover_every_step_and_sum_to_total(self, run_result):
         pipeline = Pipeline.from_script(FAST_EMORPHIC_SCRIPT)
         assert [name for name, _ in run_result.pass_runtimes] == [
