@@ -6,7 +6,7 @@ level APIs directly:
 
 1. build a circuit and convert it to an e-graph (direct DAG-to-DAG);
 2. run a few equality-saturation iterations on the engine (backoff
-   scheduling + op-indexed e-matching) and watch the number of equivalence
+   scheduling + batched trie e-matching) and watch the number of equivalence
    classes grow — including the per-rule telemetry of the run;
 3. extract structures with different objectives (node count vs depth) and
    with the island-parallel extraction portfolio — including the per-chain
@@ -53,9 +53,10 @@ def main() -> int:
     print(f"initial e-graph: {circuit.egraph.num_classes} classes, {circuit.egraph.num_nodes} e-nodes")
 
     # 2. Equality saturation, a few iterations (the paper uses 5), on the
-    #    engine: backoff scheduling + op-indexed e-matching + match dedup.
-    #    Steps 2 and 3 run under a tracer, so every engine phase (per-rule
-    #    search/apply, portfolio rounds and chains) lands in one span tree.
+    #    engine: backoff scheduling + batched trie e-matching + match dedup.
+    #    Steps 2 and 3 run under a tracer, so every engine phase (the shared
+    #    search walk, per-rule apply, portfolio rounds and chains) lands in
+    #    one span tree.
     with tracing() as tracer:
         engine = SaturationEngine(
             circuit.egraph,
@@ -83,10 +84,10 @@ def main() -> int:
         print(f"  iteration {it.iteration}: {it.num_classes} classes, {it.num_nodes} e-nodes "
               f"({it.elapsed:.2f} s, {it.matches_found} matches, "
               f"{len(it.banned)} rules banned)")
-    busiest = sorted(profile.rules.values(), key=lambda r: r.search_time, reverse=True)[:3]
+    busiest = sorted(profile.rules.values(), key=lambda r: r.trie_visits, reverse=True)[:3]
     for rule in busiest:
         print(f"  busiest rule {rule.name}: {rule.matches_found} matches, "
-              f"{rule.applications} applications, search {rule.search_time:.2f} s")
+              f"{rule.applications} applications, {rule.trie_visits} trie visits")
     extractions["extraction portfolio"] = portfolio.extraction
     profile = portfolio.profile
     print(f"portfolio extraction: cost {profile.initial_cost:.0f} -> {profile.best_cost:.0f} "

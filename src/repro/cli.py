@@ -15,8 +15,8 @@ Subcommands:
   nodes that survived into the final circuit), with ``--provenance FILE``
   exporting the derivation log as DOT/JSON;
 * ``scripts``   — list the registered passes and named optimization scripts;
-* ``saturate-bench`` — benchmark the saturation engine (legacy loop vs
-  op-indexed vs backoff-scheduled) and write ``BENCH_saturation.json``,
+* ``saturate-bench`` — benchmark the saturation engine (legacy schedule vs
+  backoff-scheduled with dedup) and write ``BENCH_saturation.json``,
   optionally failing on regression against a checked-in reference;
 * ``extract-bench`` — benchmark the extraction engine (legacy SA loop vs
   delta-cost vs island portfolio, CEC-guarded) and write
@@ -257,6 +257,7 @@ def _result_ledger_record(
     stats = result.aig.stats()
     mapping = getattr(result, "mapping", None)
     attribution = getattr(result, "attribution", None)
+    equivalence = getattr(result, "equivalence", None)
     return flow_record(
         kind,
         circuit=circuit,
@@ -274,6 +275,7 @@ def _result_ledger_record(
         span_summary=None if tracer is None else span_summary(tracer),
         attribution=None if attribution is None else attribution.to_dict(),
         resource=getattr(result, "resource", None),
+        verdict=None if equivalence is None else equivalence.status,
     )
 
 
@@ -322,13 +324,6 @@ def _add_emorphic_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=4, help="extraction chains (portfolio) / SA threads (legacy)")
     parser.add_argument("--seed", type=int, default=7, help="base seed of the parallel SA chains")
     parser.add_argument(
-        "--matcher",
-        default="indexed",
-        choices=["scan", "indexed", "batched"],
-        help="e-matching strategy: per-rule full scan, op-indexed per-rule search, "
-        "or the batched shared-prefix trie over columnar storage (identical results)",
-    )
-    parser.add_argument(
         "--extraction-engine",
         default="portfolio",
         choices=["portfolio", "legacy"],
@@ -365,7 +360,6 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
         extraction_cost=args.extraction_cost,
         use_ml_model=args.use_ml_model,
         verify=not args.no_verify,
-        matcher=args.matcher,
     )
     config.baseline.use_choices = not args.no_choices
     if config.use_ml_model:
@@ -540,6 +534,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"{len(tracer.records)} spans, {len(to_chrome_trace(tracer)['traceEvents'])} trace events; "
         f"final ands={stats['ands']} levels={stats['levels']}"
     )
+    if result.rewrite_report is not None:
+        print(_search_effort(result.rewrite_report))
     if result.equivalence is not None:
         print(f"equivalence check: {result.equivalence.status}")
     if args.out:
@@ -547,6 +543,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
         _LOG.info(f"trace written to {args.out}")
     _maybe_metrics(args)
     return _verdict_status(result)
+
+
+def _search_effort(profile, top: int = 10) -> str:
+    """The rules the last saturation's search walk spent most trie visits on."""
+    rules = sorted(profile.rules.values(), key=lambda r: (-r.trie_visits, r.name))[:top]
+    lines = [
+        f"search effort ({profile.total_trie_visits} trie visits; busiest rules):",
+        f"  {'rule':24s} {'visits':>10s} {'matches':>8s} {'applied':>8s}",
+    ]
+    for rule in rules:
+        lines.append(
+            f"  {rule.name:24s} {rule.trie_visits:10d} {rule.matches_found:8d} "
+            f"{rule.applications:8d}"
+        )
+    return "\n".join(lines)
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -803,6 +814,7 @@ def _outcome_ledger_record(kind: str, outcome) -> Dict[str, object]:
         attribution=result.get("attribution"),
         resource=result.get("resource"),
         extra={"status": outcome.status, "key": outcome.key},
+        verdict=result.get("equivalence"),
     )
 
 

@@ -55,22 +55,19 @@ class EClass:
 class EGraph:
     """An e-graph over the Boolean term language.
 
-    Observers (e.g. the engine's op-index) may register through
-    :meth:`attach_observer`; they receive ``on_add(class_id, enode)`` for every
-    newly created e-class and ``on_union(root, other)`` for every merge
-    (including the upward merges performed during ``rebuild``), which is enough
-    to maintain derived structures incrementally instead of rescanning the
-    graph.  Observers that additionally define ``on_repair(class_id)`` are
-    told whenever congruence repair rewrote a class's node list in place
-    (canonical dedup, first occurrence wins) — the column store mirrors the
-    dedup from that event so its per-class spans track ``EClass.nodes``
-    exactly.  Current clients are the engine's op-index, the engine's column
-    store (:class:`repro.engine.columns.ColumnStore`), and the provenance
-    recorder (:class:`repro.obs.provenance.ProvenanceLog`).  One subtlety for
-    observers: ``_repair`` re-canonicalizes existing e-nodes in place *without*
-    firing ``on_add``, so an observer that keys records by (class id, e-node)
-    must re-canonicalize both sides under the final union-find when it looks
-    records up after the run.  ``num_classes``/``num_nodes`` are O(1) counters
+    Observers may register through :meth:`attach_observer`; they receive
+    ``on_add(class_id, enode)`` for every newly created e-class and
+    ``on_union(root, other)`` for every merge (including the upward merges
+    performed during ``rebuild``), which is enough to maintain derived
+    structures incrementally instead of rescanning the graph.  Current
+    clients are the provenance recorder
+    (:class:`repro.obs.provenance.ProvenanceLog`) and the resource sampler.
+    One subtlety for observers: ``_repair`` re-canonicalizes existing e-nodes
+    in place *without* firing ``on_add``, so an observer that keys records by
+    (class id, e-node) must re-canonicalize both sides under the final
+    union-find when it looks records up after the run.  Only the classes it
+    repairs are re-canonicalized: ``EClass.nodes`` of other classes can keep
+    stale child ids, so readers canonicalize children through :meth:`find`.  ``num_classes``/``num_nodes`` are O(1) counters
     maintained through ``add``/``union``/``_repair`` — the saturation engine
     polls them inside its hot loop.
     """
@@ -198,10 +195,6 @@ class EGraph:
             seen.setdefault(node.canonicalize(self.union_find), None)
         self._num_nodes -= len(eclass.nodes) - len(seen)
         eclass.nodes = list(seen.keys())
-        for observer in self.observers:
-            hook = getattr(observer, "on_repair", None)
-            if hook is not None:
-                hook(class_id)
         return merges
 
     # -- queries ----------------------------------------------------------------

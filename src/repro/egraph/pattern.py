@@ -1,19 +1,20 @@
-"""Patterns and e-matching.
+"""Patterns: parsing, match records and instantiation.
 
 Patterns are written in a tiny s-expression syntax, e.g. ``(AND ?a (OR ?b ?c))``,
-where ``?x`` is a pattern variable binding an e-class.  Matching searches the
-e-graph for every (class, substitution) pair where some e-node of the class
-matches the pattern.
+where ``?x`` is a pattern variable binding an e-class.  A match is a
+(class, substitution) pair where some e-node of the class matches the
+pattern; :class:`repro.engine.batched.BatchedMatcher` finds them for a whole
+rule set at once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.egraph.egraph import EGraph, ENode
-from repro.egraph.language import CONST0, CONST1, NOT, VAR, op_arity
+from repro.egraph.egraph import EGraph
+from repro.egraph.language import CONST0, CONST1, op_arity
 
 
 @dataclass(frozen=True)
@@ -86,83 +87,12 @@ Substitution = Dict[str, int]
 MAX_SUBSTITUTIONS_PER_NODE = 200
 
 
-def _match_node(egraph: EGraph, pattern: PatternNode, class_id: int, subst: Substitution) -> Iterator[Substitution]:
-    """Yield all substitutions matching ``pattern`` against e-class ``class_id``."""
-    class_id = egraph.find(class_id)
-    if pattern.kind == "pattern_var":
-        bound = subst.get(pattern.name)
-        if bound is not None:
-            if egraph.find(bound) == class_id:
-                yield subst
-            return
-        new = dict(subst)
-        new[pattern.name] = class_id
-        yield new
-        return
-    if pattern.kind == "symbol":
-        for enode in egraph.nodes_of(class_id):
-            if enode.op == VAR and enode.payload == pattern.name:
-                yield subst
-                return
-        return
-    # Operator node: try every e-node of the class with the same operator.
-    # The cross-product of child substitutions is capped so that dense classes
-    # (thousands of commuted/associated variants) cannot blow up memory.
-    for enode in egraph.nodes_of(class_id):
-        if enode.op != pattern.op or len(enode.children) != len(pattern.children):
-            continue
-        stack = [subst]
-        for child_pat, child_class in zip(pattern.children, enode.children):
-            next_stack = []
-            for s in stack:
-                for candidate in _match_node(egraph, child_pat, child_class, s):
-                    next_stack.append(candidate)
-                    if len(next_stack) >= MAX_SUBSTITUTIONS_PER_NODE:
-                        break
-                if len(next_stack) >= MAX_SUBSTITUTIONS_PER_NODE:
-                    break
-            stack = next_stack
-            if not stack:
-                break
-        for s in stack:
-            yield s
-
-
 @dataclass
 class Match:
     """One successful pattern match."""
 
     class_id: int
     substitution: Substitution
-
-
-def search(
-    egraph: EGraph,
-    pattern: Pattern,
-    limit: Optional[int] = None,
-    candidates: Optional[Iterable[int]] = None,
-) -> List[Match]:
-    """Find matches of the pattern anywhere in the e-graph.
-
-    ``candidates`` restricts the search to the given e-class ids (e.g. from an
-    op-index); they may be stale — non-canonical ids are skipped.  Candidate
-    ids are visited in sorted order so that truncation under ``limit`` keeps
-    the same prefix in every process: seeded runs reproduce identical e-graphs
-    regardless of set/dict iteration order.
-    """
-    if candidates is None:
-        class_ids = sorted(egraph.canonical_classes())
-    else:
-        class_ids = sorted(set(candidates))
-    matches: List[Match] = []
-    for class_id in class_ids:
-        if egraph.find(class_id) != class_id:
-            continue
-        for subst in _match_node(egraph, pattern.root, class_id, {}):
-            matches.append(Match(class_id=class_id, substitution=subst))
-            if limit is not None and len(matches) >= limit:
-                return matches
-    return matches
 
 
 def instantiate(egraph: EGraph, pattern: PatternNode, subst: Substitution) -> int:

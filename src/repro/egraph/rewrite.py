@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.egraph.egraph import EGraph
-from repro.egraph.pattern import Match, Pattern, instantiate, parse_pattern, search
+from repro.egraph.pattern import Match, Pattern, instantiate, parse_pattern
 
 
 @dataclass
@@ -32,14 +32,6 @@ class Rewrite:
         condition: Optional[Callable[[EGraph, Match], bool]] = None,
     ) -> "Rewrite":
         return cls(name=name, lhs=parse_pattern(lhs), rhs=parse_pattern(rhs), condition=condition)
-
-    def search(
-        self,
-        egraph: EGraph,
-        limit: Optional[int] = None,
-        candidates: Optional[Iterable[int]] = None,
-    ) -> List[Match]:
-        return search(egraph, self.lhs, limit=limit, candidates=candidates)
 
     def apply(self, egraph: EGraph, matches: List[Match]) -> int:
         """Apply the rule to the given matches; returns the number of unions made."""

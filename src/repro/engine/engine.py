@@ -1,4 +1,4 @@
-"""The saturation engine: indexed e-matching, scheduling, dedup, telemetry.
+"""The saturation engine: batched e-matching, scheduling, dedup, telemetry.
 
 :class:`SaturationEngine` supersedes the naive ``egraph.Runner`` loop while
 preserving its semantics exactly when configured with the
@@ -6,10 +6,13 @@ preserving its semantics exactly when configured with the
 
 * iterations are two-phase (search every eligible rule against the frozen
   e-graph, then apply rule by rule), so the legacy runner is the special case
-  ``SimpleScheduler`` + all classes as candidates;
-* the **op-index** narrows each rule's search to classes that contain its
-  root operator, maintained incrementally through ``add``/``union``/rebuild
-  via the e-graph observer protocol;
+  ``SimpleScheduler`` + dedup off;
+* the search phase is one walk of the
+  :class:`~repro.engine.batched.BatchedMatcher` trie over views built from
+  ``EClass.nodes``, with each rule stopped at the scheduler's
+  ``search_cap`` (never more than ``match_limit_per_rule``) — exact, because
+  the scheduler only needs to know whether a rule overflowed its threshold
+  and keeps the same prefix either way;
 * **match deduplication** remembers every (rule, canonical class, canonical
   substitution) triple that was already instantiated and skips it in later
   iterations.  A skipped re-instantiation could at most have re-created
@@ -43,8 +46,6 @@ from repro.egraph.egraph import EGraph
 from repro.egraph.pattern import Match, instantiate
 from repro.egraph.rewrite import Rewrite
 from repro.engine.batched import BatchedMatcher
-from repro.engine.columns import ColumnStore
-from repro.engine.index import OpIndex
 from repro.engine.scheduler import Scheduler, make_scheduler
 from repro.engine.telemetry import IterationReport, RuleProfile, SaturationProfile
 from repro.obs import provenance as obs_provenance
@@ -67,25 +68,6 @@ class EngineLimits:
 #: Canonical dedup key: (rule name, canonical class, canonical substitution).
 MatchKey = Tuple[str, int, Tuple[Tuple[str, int], ...]]
 
-#: Recognised e-matching strategies.  ``scan`` searches every class per rule
-#: (the legacy runner), ``indexed`` narrows each rule to classes holding its
-#: root operator via the incrementally-maintained :class:`OpIndex`, and
-#: ``batched`` compiles all rule patterns into one shared-prefix trie over
-#: :class:`~repro.engine.columns.ColumnStore` so the e-graph is walked once
-#: per iteration total.  All three produce identical matches in identical
-#: order; they differ only in speed.
-MATCHERS: Tuple[str, ...] = ("scan", "indexed", "batched")
-
-
-def resolve_matcher(matcher: Optional[str], use_index: bool) -> str:
-    """Resolve a matcher name, defaulting from the legacy ``use_index`` flag."""
-    if matcher is None:
-        return "indexed" if use_index else "scan"
-    if matcher not in MATCHERS:
-        raise ValueError(f"unknown matcher {matcher!r}; expected one of {MATCHERS}")
-    return matcher
-
-
 class SaturationEngine:
     """Applies a rule set to an e-graph until a stopping condition is met."""
 
@@ -95,29 +77,27 @@ class SaturationEngine:
         rules: Sequence[Rewrite],
         limits: Optional[EngineLimits] = None,
         scheduler: Union[str, Scheduler, None] = None,
-        use_index: bool = True,
         dedup_matches: bool = True,
-        matcher: Optional[str] = None,
         rule_priorities: Optional[Dict[str, float]] = None,
     ) -> None:
         self.egraph = egraph
         self.rules = list(rules)
         self.limits = limits or EngineLimits()
         self.scheduler = make_scheduler(scheduler)
-        self.matcher = resolve_matcher(matcher, use_index)
-        # The batched matcher is index-driven by construction (its trie roots
-        # play the op-index role), so the legacy flag reads True for it.
-        self.use_index = use_index if matcher is None else self.matcher != "scan"
         self.dedup_matches = dedup_matches
         self.rule_priorities = rule_priorities
         self.profile: Optional[SaturationProfile] = None
-        #: The columnar storage mirror; populated by ``run`` under the batched
-        #: matcher (and left attached so downstream readers — e.g.
-        #: ``FrozenProblem.from_columns`` — stay in lockstep with the e-graph).
-        self.columns: Optional[ColumnStore] = None
         self._seen: Set[MatchKey] = set()
 
     # -- internals -------------------------------------------------------------
+
+    def _search(
+        self, matcher: BatchedMatcher, active: List[int], caps: Dict[int, int]
+    ) -> Dict[int, List[Match]]:
+        """One iteration's matches per active rule index (one trie walk)."""
+        return matcher.search(
+            self.egraph, active, limit=self.limits.match_limit_per_rule, caps=caps
+        )
 
     def _match_key(self, rule: Rewrite, match: Match) -> MatchKey:
         # Substitution values are find-canonical at search time; skipping the
@@ -170,13 +150,7 @@ class SaturationEngine:
         scheduler = self.scheduler
         egraph = self.egraph
         self._seen = set()  # dedup is per run: a re-run starts fresh
-        batched: Optional[BatchedMatcher] = None
-        if self.matcher == "batched":
-            index = None
-            self.columns = ColumnStore(egraph)
-            batched = BatchedMatcher(self.rules, rule_priorities=self.rule_priorities)
-        else:
-            index = OpIndex(egraph) if self.use_index else None
+        matcher = BatchedMatcher(self.rules, rule_priorities=self.rule_priorities)
         # Provenance rides the installed-recorder gate, same as tracing: when
         # no recorder is installed (the common case) nothing below this line
         # touches the apply path.  Attaching seed-tags every existing e-node
@@ -195,7 +169,7 @@ class SaturationEngine:
         iterations: List[IterationReport] = []
         stop_reason = "iteration_limit"
         # Spans are the single timing source: every wall-clock figure in the
-        # profile (rule search/apply, iteration phases, total) is the duration
+        # profile (rule apply, iteration phases, total) is the duration
         # of the span that scoped it, so a `--trace` export and the JSON
         # telemetry can never disagree.
         run_span = obs.span("saturate", category="engine", scheduler=scheduler.name)
@@ -222,69 +196,41 @@ class SaturationEngine:
                         searched: List[Tuple[Rewrite, List[Match]]] = []
                         restricted = False
                         with obs.span("search", category="saturation.phase") as search_span:
-                            if batched is not None:
-                                # One shared trie walk for every active rule.
-                                # Ban accounting first, so banned rules' trie
-                                # branches are pruned from the walk itself.
-                                active: List[int] = []
-                                for rule_index, rule in enumerate(self.rules):
-                                    stats = rule_stats[rule.name]
-                                    if not scheduler.can_search(iteration, rule.name):
-                                        stats.banned_iterations += 1
-                                        report.banned.append(rule.name)
-                                        restricted = True
-                                    else:
-                                        active.append(rule_index)
-                                with obs.span(
-                                    "batched-match", category="saturation.search"
-                                ) as walk_span:
-                                    per_rule = batched.search(
-                                        self.columns,
-                                        active,
-                                        limit=limits.match_limit_per_rule,
-                                        egraph=egraph,
-                                    )
-                                # The walk is shared, so its cost cannot be
-                                # split honestly per rule: iteration-level
-                                # search_time carries the timing and per-rule
-                                # search_time stays zero under this matcher.
-                                walk_span.set("rules", len(active))
-                                for rule_index in active:
-                                    rule = self.rules[rule_index]
-                                    stats = rule_stats[rule.name]
-                                    matches = per_rule.get(rule_index, [])
-                                    allowed = scheduler.allowed_matches(
-                                        iteration, rule.name, len(matches)
-                                    )
-                                    if allowed < len(matches):
-                                        matches = matches[:allowed]
-                                        stats.times_banned += 1
-                                        restricted = True
-                                    stats.matches_found += len(matches)
-                                    report.matches_found += len(matches)
-                                    searched.append((rule, matches))
-                                search_span.set("matches", report.matches_found)
-                            for rule in self.rules if batched is None else ():
-                                stats = rule_stats[rule.name]
+                            # Ban accounting first, so banned rules' trie
+                            # branches are pruned from the walk itself.
+                            active: List[int] = []
+                            caps: Dict[int, int] = {}
+                            for rule_index, rule in enumerate(self.rules):
                                 if not scheduler.can_search(iteration, rule.name):
-                                    stats.banned_iterations += 1
+                                    rule_stats[rule.name].banned_iterations += 1
                                     report.banned.append(rule.name)
                                     restricted = True
                                     continue
-                                with obs.span(rule.name, category="saturation.search") as rule_span:
-                                    candidates = (
-                                        index.candidates(rule.lhs.root) if index is not None else None
-                                    )
-                                    matches = rule.search(
-                                        egraph, limit=limits.match_limit_per_rule, candidates=candidates
-                                    )
-                                stats.search_time += rule_span.duration
-                                allowed = scheduler.allowed_matches(iteration, rule.name, len(matches))
+                                active.append(rule_index)
+                                cap = scheduler.search_cap(rule.name)
+                                if cap is not None:
+                                    caps[rule_index] = cap
+                            with obs.span(
+                                "batched-match", category="saturation.search"
+                            ) as walk_span:
+                                per_rule = self._search(matcher, active, caps)
+                                # The walk is shared, so its time cannot be
+                                # split per rule; its trie-edge visits can.
+                                visits = matcher.rule_visits()
+                                walk_span.set("rules", len(active))
+                                walk_span.set("trie_visits", sum(visits.values()))
+                            for rule_index in active:
+                                rule = self.rules[rule_index]
+                                stats = rule_stats[rule.name]
+                                stats.trie_visits += visits.get(rule_index, 0)
+                                matches = per_rule[rule_index]
+                                allowed = scheduler.allowed_matches(
+                                    iteration, rule.name, len(matches)
+                                )
                                 if allowed < len(matches):
                                     matches = matches[:allowed]
                                     stats.times_banned += 1
                                     restricted = True
-                                rule_span.set("matches", len(matches))
                                 stats.matches_found += len(matches)
                                 report.matches_found += len(matches)
                                 searched.append((rule, matches))
@@ -347,8 +293,6 @@ class SaturationEngine:
                         stop_reason = "time_limit"
                         break
             finally:
-                if index is not None:
-                    index.detach()
                 if recorder is not None:
                     recorder.detach(egraph)
                 resource_sample = (
@@ -362,9 +306,7 @@ class SaturationEngine:
             total_time=run_span.duration,
             rules=rule_stats,
             scheduler=scheduler.name,
-            indexed=self.use_index,
             dedup=self.dedup_matches,
-            matcher=self.matcher,
             resource=resource_sample,
         )
         metrics = obs_registry()
@@ -387,9 +329,7 @@ def saturate_engine(
     rules: Sequence[Rewrite],
     limits: Optional[EngineLimits] = None,
     scheduler: Union[str, Scheduler, None] = None,
-    use_index: bool = True,
     dedup_matches: bool = True,
-    matcher: Optional[str] = None,
     rule_priorities: Optional[Dict[str, float]] = None,
 ) -> SaturationProfile:
     """One-call helper mirroring ``egraph.runner.saturate`` on the engine."""
@@ -398,8 +338,6 @@ def saturate_engine(
         rules,
         limits=limits,
         scheduler=scheduler,
-        use_index=use_index,
         dedup_matches=dedup_matches,
-        matcher=matcher,
         rule_priorities=rule_priorities,
     ).run()

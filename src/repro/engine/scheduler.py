@@ -18,7 +18,7 @@ POPL'21):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 
 class SimpleScheduler:
@@ -29,6 +29,10 @@ class SimpleScheduler:
     def can_search(self, iteration: int, rule_name: str) -> bool:
         """Whether the rule may search this iteration (always yes)."""
         return True
+
+    def search_cap(self, rule_name: str) -> Optional[int]:
+        """Matches worth finding for the rule (no cap: it keeps them all)."""
+        return None
 
     def allowed_matches(self, iteration: int, rule_name: str, found: int) -> int:
         """How many of ``found`` matches the rule may keep this iteration."""
@@ -68,6 +72,16 @@ class BackoffScheduler:
         """Whether the rule's ban window has expired."""
         return iteration >= self._state(rule_name).banned_until
 
+    def search_cap(self, rule_name: str) -> int:
+        """Matches worth finding for the rule: its threshold plus one.
+
+        :meth:`allowed_matches` only asks whether ``found`` exceeds the
+        threshold and then keeps the first ``threshold`` matches, so a search
+        stopped here gives the same bans and the same kept prefix as an
+        untruncated one.
+        """
+        return (self.match_limit << self._state(rule_name).times_banned) + 1
+
     def allowed_matches(self, iteration: int, rule_name: str, found: int) -> int:
         """Cap ``found`` at the rule's current threshold, banning on overflow."""
         state = self._state(rule_name)
@@ -98,6 +112,6 @@ def make_scheduler(spec: Union[str, Scheduler, None]) -> Scheduler:
         if spec == "backoff":
             return BackoffScheduler()
         raise ValueError(f"unknown scheduler {spec!r}; choose from {', '.join(SCHEDULERS)}")
-    if not hasattr(spec, "can_search") or not hasattr(spec, "allowed_matches"):
+    if not all(hasattr(spec, hook) for hook in ("can_search", "search_cap", "allowed_matches")):
         raise TypeError(f"not a scheduler: {spec!r}")
     return spec

@@ -3,15 +3,15 @@
 :class:`SaturationProfile` is the engine's return value and doubles as the
 legacy ``RunnerReport`` (``repro.egraph.runner`` re-exports it under that
 name), so every consumer of the old report keeps working while new code gets
-per-rule search/apply wall-clock, match/dedup counts, ban bookkeeping, and
-per-iteration growth curves.  Everything serializes to plain JSON via
-``to_dict``/``from_dict`` — orchestrate job payloads and
-``BENCH_saturation.json`` carry these records verbatim.
+per-rule search effort (trie-edge visits) and apply wall-clock, match/dedup
+counts, ban bookkeeping, and per-iteration growth curves.  Everything
+serializes to plain JSON via ``to_dict``/``from_dict`` — orchestrate job
+payloads and ``BENCH_saturation.json`` carry these records verbatim.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 
@@ -20,7 +20,10 @@ class RuleProfile:
     """Cumulative statistics of one rule across a saturation run."""
 
     name: str
-    search_time: float = 0.0
+    #: Trie-edge visits of the shared search walk charged to this rule (see
+    #: ``BatchedMatcher.rule_visits``): the walk cannot be timed per rule,
+    #: so this is the rule's search effort.
+    trie_visits: int = 0
     apply_time: float = 0.0
     matches_found: int = 0
     matches_deduped: int = 0
@@ -35,8 +38,10 @@ class RuleProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RuleProfile":
-        """Rebuild a profile from its ``to_dict`` payload."""
-        return cls(**data)
+        """Rebuild a profile from its ``to_dict`` payload (keys of retired
+        fields, such as the per-rule ``search_time``, are ignored)."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{key: value for key, value in data.items() if key in known})
 
 
 @dataclass
@@ -81,13 +86,7 @@ class SaturationProfile:
     total_time: float = 0.0
     rules: Dict[str, RuleProfile] = field(default_factory=dict)
     scheduler: str = "simple"
-    indexed: bool = False
     dedup: bool = False
-    #: Which e-matching strategy ran ("scan" | "indexed" | "batched"); see
-    #: ``repro.engine.engine.MATCHERS``.  Under "batched" the shared trie walk
-    #: cannot be split honestly per rule, so per-rule ``search_time`` is zero
-    #: and iteration-level ``search_time`` carries the phase timing.
-    matcher: str = "indexed"
     #: A ``repro.obs.resource.ResourceSample`` payload when a sampler was
     #: installed during the run; None (and absent from ``to_dict``) otherwise,
     #: which keeps the unsampled payload byte-identical to earlier builds.
@@ -112,6 +111,11 @@ class SaturationProfile:
     def total_matches(self) -> int:
         """Matches found across all iterations."""
         return sum(it.matches_found for it in self.iterations)
+
+    @property
+    def total_trie_visits(self) -> int:
+        """Trie-edge visits charged to rules across all iterations."""
+        return sum(rule.trie_visits for rule in self.rules.values())
 
     @property
     def total_applications(self) -> int:
@@ -143,14 +147,13 @@ class SaturationProfile:
             "stop_reason": self.stop_reason,
             "total_time": self.total_time,
             "scheduler": self.scheduler,
-            "indexed": self.indexed,
             "dedup": self.dedup,
-            "matcher": self.matcher,
             "num_iterations": self.num_iterations,
             "final_classes": self.final_classes,
             "final_nodes": self.final_nodes,
             "total_matches": self.total_matches,
             "total_applications": self.total_applications,
+            "trie_visits": self.total_trie_visits,
             "search_time": self.search_time(),
             "apply_time": self.apply_time(),
             "rebuild_time": self.rebuild_time(),
@@ -163,7 +166,11 @@ class SaturationProfile:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SaturationProfile":
-        """Rebuild a profile from its ``to_dict`` payload."""
+        """Rebuild a profile from its ``to_dict`` payload.
+
+        Payloads written before the batched matcher became the only one carry
+        ``matcher``/``indexed`` keys; they are ignored.
+        """
         return cls(
             stop_reason=str(data["stop_reason"]),
             iterations=[IterationReport.from_dict(it) for it in data.get("iterations", [])],
@@ -173,8 +180,6 @@ class SaturationProfile:
                 for name, rule in data.get("rules", {}).items()
             },
             scheduler=str(data.get("scheduler", "simple")),
-            indexed=bool(data.get("indexed", False)),
             dedup=bool(data.get("dedup", False)),
-            matcher=str(data.get("matcher", "indexed")),
             resource=data.get("resource"),
         )

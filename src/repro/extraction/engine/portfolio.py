@@ -172,7 +172,6 @@ def portfolio_extract(
     config: Optional[PortfolioConfig] = None,
     seed_solution: Optional[Dict[int, ENode]] = None,
     final_selector: Optional[Callable[[Dict[int, ENode]], float]] = None,
-    columns: Optional[object] = None,
 ) -> PortfolioResult:
     """Run the island portfolio on a frozen e-graph.
 
@@ -181,12 +180,6 @@ def portfolio_extract(
     decides the winner — the paper's "map all parallel-generated solutions
     and keep the best QoR" step, paid once per chain instead of once per
     move.  Without it the structural guiding cost decides.
-
-    ``columns`` optionally passes the saturation engine's
-    :class:`~repro.engine.columns.ColumnStore` so the frozen problem is
-    snapshotted from the integer columns (``FrozenProblem.from_columns``)
-    instead of re-walking the object graph; the resulting problem is
-    identical either way.
     """
     config = config or PortfolioConfig()
     cost = cost or NodeCountCost()
@@ -200,11 +193,7 @@ def portfolio_extract(
         evaluator=config.evaluator,
     )
     with portfolio_span:
-        problem = (
-            FrozenProblem.from_columns(columns, roots, cost)
-            if columns is not None
-            else FrozenProblem.build(egraph, roots, cost)
-        )
+        problem = FrozenProblem.build(egraph, roots, cost)
         greedy = problem.greedy_choice()
         stats = ProblemStats.of(problem, problem.flip_candidates(problem.toposort(greedy)))
         seed_choice = problem.choice_from_extraction(seed_solution) if seed_solution else None

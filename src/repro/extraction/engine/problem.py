@@ -84,49 +84,6 @@ class FrozenProblem:
             mode=cost.mode,
         )
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: "object",
-        roots: Sequence[int],
-        cost: Optional[CostFunction] = None,
-    ) -> "FrozenProblem":
-        """Build the frozen problem from a :class:`repro.engine.columns.ColumnStore`.
-
-        The columnar mirror already holds every class's nodes canonicalized in
-        ``EClass.nodes`` order, so snapshotting reads flat integer columns
-        instead of re-walking the object graph.  Produces a structure equal to
-        :meth:`build` on the mirrored e-graph: same classes, same candidate
-        order (first canonical occurrence wins), same costs.
-        """
-        cost = cost or NodeCountCost()
-        nodes: Dict[int, List[ENode]] = {}
-        children: Dict[int, List[Tuple[int, ...]]] = {}
-        node_costs: Dict[int, List[float]] = {}
-        find = columns.find
-        for cid in columns.canonical_class_ids():
-            seen = set()
-            class_nodes: List[ENode] = []
-            class_children: List[Tuple[int, ...]] = []
-            class_costs: List[float] = []
-            for canonical in columns.class_enodes(cid):
-                if canonical in seen:
-                    continue
-                seen.add(canonical)
-                class_nodes.append(canonical)
-                class_children.append(canonical.children)
-                class_costs.append(cost.node_cost(canonical))
-            nodes[cid] = class_nodes
-            children[cid] = class_children
-            node_costs[cid] = class_costs
-        return cls(
-            nodes=nodes,
-            children=children,
-            node_costs=node_costs,
-            roots=[find(r) for r in roots],
-            mode=cost.mode,
-        )
-
     @property
     def num_classes(self) -> int:
         return len(self.nodes)

@@ -5,7 +5,8 @@ appends one JSON-lines record per completed flow to a ledger file (default
 ``~/.cache/emorphic/ledger/runs.jsonl``, overridable with the
 ``EMORPHIC_LEDGER`` environment variable or an explicit path).  Records are
 schema-versioned and carry a content-hashed id, the circuit/script/config
-identity, the QoR summary (ands/levels/delay/area), runtime, and — when the
+identity, the QoR summary (ands/levels/delay/area), the CEC verdict when the
+flow ran ``cec``, runtime, and — when the
 matching observers were installed — span summaries, attribution digests,
 and resource samples.
 
@@ -18,7 +19,8 @@ the file.
 The query surface groups records by ``(circuit, script, config_hash)`` and
 compares each group's latest run against a **rolling baseline**: the median
 of the previous ``window`` runs.  ``emorphic history --check`` turns that
-comparison into a CI gate (non-zero exit on QoR or runtime regression), and
+comparison into a CI gate (non-zero exit on QoR or runtime regression, or
+when a group's latest run ran ``cec`` and was not proven equivalent), and
 ``emorphic report`` renders the same history as static HTML.
 """
 
@@ -98,8 +100,13 @@ def flow_record(
     attribution: Optional[Dict[str, object]] = None,
     resource: Optional[Dict[str, object]] = None,
     extra: Optional[Dict[str, object]] = None,
+    verdict: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Build one ledger record (without id — :meth:`RunLedger.append` stamps it)."""
+    """Build one ledger record (without id — :meth:`RunLedger.append` stamps it).
+
+    ``verdict`` is the flow's CEC status (``equivalent``/``counterexample``/
+    ``unknown``), or None when the flow ran no ``cec``.
+    """
     import time
 
     qor = dict(qor or {})
@@ -112,6 +119,7 @@ def flow_record(
         "script": script,
         "config_hash": config_digest(config if config is not None else {"script": script}),
         "qor": {metric: qor.get(metric) for metric in QOR_METRICS},
+        "verdict": verdict,
         "runtime": runtime,
         "pass_runtimes": [[str(name), float(t)] for name, t in (pass_runtimes or [])] or None,
         "span_summary": span_summary,
@@ -278,16 +286,22 @@ def check_records(
 ) -> List[str]:
     """Regression check: latest vs rolling baseline, per group.
 
-    A QoR metric regresses when ``latest > baseline * (1 + qor_tolerance)``;
-    runtime regresses past ``baseline * runtime_ratio`` (timing is noisy).
-    Groups with fewer than two runs have no baseline and cannot fail.
-    Returns human-readable failure strings (empty == pass).
+    A group fails outright when its latest record ran ``cec`` and the
+    verdict is not ``equivalent`` — an unverified result fails whatever its
+    QoR.  A QoR metric regresses when ``latest > baseline * (1 +
+    qor_tolerance)``; runtime regresses past ``baseline * runtime_ratio``
+    (timing is noisy).  Groups with fewer than two runs have no baseline, so
+    only the verdict can fail them.  Returns human-readable failure strings
+    (empty == pass).
     """
     failures: List[str] = []
     for (circuit, script, cfg), history in sorted(group_records(records).items()):
+        label = f"{circuit or '?'} [{_short(script)} @{cfg[:8]}]"
+        verdict = history[-1].get("verdict")
+        if verdict is not None and verdict != "equivalent":
+            failures.append(f"{label}: latest run is unverified (cec verdict {verdict})")
         if len(history) < 2:
             continue
-        label = f"{circuit or '?'} [{_short(script)} @{cfg[:8]}]"
         comparison = compare_group(history, window=window)
         for metric in QOR_METRICS:
             cell = comparison[metric]

@@ -367,9 +367,12 @@ class recording:
 
 @dataclass
 class RuleYield:
-    """One rule's funnel: matches → applications → survivors → net QoR."""
+    """One rule's funnel: search effort → matches → applications → survivors
+    → net QoR."""
 
     rule: str
+    #: Trie-edge visits the shared e-matching walk charged to the rule.
+    trie_visits: int = 0
     matches: int = 0
     applications: int = 0
     #: Chosen e-nodes of the final extraction this rule created.
@@ -384,6 +387,7 @@ class RuleYield:
     def to_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
+            "trie_visits": self.trie_visits,
             "matches": self.matches,
             "applications": self.applications,
             "surviving_nodes": self.surviving_nodes,
@@ -396,6 +400,7 @@ class RuleYield:
     def from_dict(cls, data: Dict[str, object]) -> "RuleYield":
         return cls(
             rule=str(data["rule"]),
+            trie_visits=int(data.get("trie_visits", 0)),
             matches=int(data.get("matches", 0)),
             applications=int(data.get("applications", 0)),
             surviving_nodes=int(data.get("surviving_nodes", 0)),
@@ -506,6 +511,7 @@ class RuleAttribution:
             total.final_levels = _sum_optional(total.final_levels, part.final_levels)
             for name, y in part.rules.items():
                 into = total.rules.setdefault(name, RuleYield(rule=name))
+                into.trie_visits += y.trie_visits
                 into.matches += y.matches
                 into.applications += y.applications
                 into.surviving_nodes += y.surviving_nodes
@@ -526,21 +532,21 @@ class RuleAttribution:
 
         lines = [
             "rule yield (chosen e-nodes surviving into the final extraction):",
-            f"  {'rule':24s} {'matches':>8s} {'applied':>8s} {'nodes':>6s} {'ands':>6s} "
-            f"{'Δands':>6s} {'Δlev':>5s}",
+            f"  {'rule':24s} {'visits':>8s} {'matches':>8s} {'applied':>8s} {'nodes':>6s} "
+            f"{'ands':>6s} {'Δands':>6s} {'Δlev':>5s}",
         ]
         original = self.rules.get(ORIGINAL)
         if original is not None:
             lines.append(
-                f"  {ORIGINAL:24s} {'-':>8s} {'-':>8s} {original.surviving_nodes:6d} "
+                f"  {ORIGINAL:24s} {'-':>8s} {'-':>8s} {'-':>8s} {original.surviving_nodes:6d} "
                 f"{original.surviving_ands:6d} {'-':>6s} {'-':>5s}"
             )
         for y in self.rule_yields():
             if y.matches == 0 and y.applications == 0 and y.surviving_nodes == 0:
                 continue  # never fired: noise in the table, still in to_dict()
             lines.append(
-                f"  {y.rule:24s} {y.matches:8d} {y.applications:8d} {y.surviving_nodes:6d} "
-                f"{y.surviving_ands:6d} {opt(y.delta_ands, signed=True):>6s} "
+                f"  {y.rule:24s} {y.trie_visits:8d} {y.matches:8d} {y.applications:8d} "
+                f"{y.surviving_nodes:6d} {y.surviving_ands:6d} {opt(y.delta_ands, signed=True):>6s} "
                 f"{opt(y.delta_levels, signed=True):>5s}"
             )
         window_note = f" across {self.windows} windows" if self.windows > 1 else ""
@@ -672,7 +678,7 @@ def attribute_extraction(
 
     ``circuit`` is the :class:`~repro.conversion.dag2eg.CircuitEGraph` the
     extraction was chosen from, ``profile`` the run's ``SaturationProfile``
-    (supplies the matches/applications columns), ``final_aig`` the already
+    (supplies the visits/matches/applications columns), ``final_aig`` the already
     realized (strashed) extraction when the caller has one.  QoR deltas are
     estimated fail-soft: a rule whose ablated extraction cannot be realized
     (cyclic after reverting) reports ``None`` deltas instead of raising.
@@ -705,6 +711,7 @@ def attribute_extraction(
     if profile is not None:
         for name, stats in profile.rules.items():
             y = report.rules.setdefault(name, RuleYield(rule=name))
+            y.trie_visits = stats.trie_visits
             y.matches = stats.matches_found
             y.applications = stats.applications
 

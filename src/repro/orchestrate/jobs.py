@@ -54,7 +54,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    per-run sample.
 #: 8: EmorphicConfig grows the ``matcher`` field (e-matching strategy) and
 #:    SaturationProfile payloads carry ``matcher``.
-SCHEMA_VERSION = 8
+#: 9: the batched matcher is the only one — EmorphicConfig loses
+#:    ``matcher``/``use_op_index`` (the canonical ``saturate`` step loses
+#:    ``index=``/``matcher=``, so script text and job hashes change), and
+#:    SaturationProfile payloads drop ``matcher``/``indexed`` and carry
+#:    per-rule ``trie_visits``.
+SCHEMA_VERSION = 9
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 

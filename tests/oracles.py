@@ -1,5 +1,13 @@
 """Slow reference implementations kept only as differential test oracles.
 
+* :func:`search` is per-pattern e-matching: one pattern at a time over every
+  canonical class, children canonicalized through ``find`` on every visit.
+  :class:`PerPatternEngine` is the saturation loop searching each rule that
+  way, uncapped.  Together they pin the batched trie matcher
+  (``repro.engine.batched``), which production uses for every search.
+* :func:`assert_views_match_object_model` recomputes the matcher's per-search
+  class views (``repro.engine.batched.class_views``) node by node from the
+  object model.
 * :func:`per_output_check_equivalence` is the CEC that production sweeping
   replaced: random simulation, then one fresh solver per output on a copy of
   the whole two-circuit CNF.
@@ -11,14 +19,97 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
 from repro.aig.simulate import random_simulate, simulation_signatures
+from repro.egraph.egraph import EGraph
+from repro.egraph.language import VAR
+from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, PatternNode, Substitution
+from repro.engine.batched import class_views
+from repro.engine.engine import SaturationEngine
 from repro.mapping.choices import ChoiceClasses
 from repro.verify.cec import CecResult
 from repro.verify.cnf import Cnf, encode_miter_output, tseitin_encode
 from repro.verify.sat import SatSolver
+
+
+def _match_node(egraph: EGraph, pattern: PatternNode, class_id: int, subst: Substitution) -> Iterator[Substitution]:
+    """Yield all substitutions matching ``pattern`` against e-class ``class_id``."""
+    class_id = egraph.find(class_id)
+    if pattern.kind == "pattern_var":
+        bound = subst.get(pattern.name)
+        if bound is not None:
+            if egraph.find(bound) == class_id:
+                yield subst
+            return
+        new = dict(subst)
+        new[pattern.name] = class_id
+        yield new
+        return
+    if pattern.kind == "symbol":
+        for enode in egraph.nodes_of(class_id):
+            if enode.op == VAR and enode.payload == pattern.name:
+                yield subst
+                return
+        return
+    # Operator node: try every e-node of the class with the same operator,
+    # capping the cross-product of child substitutions per e-node.
+    for enode in egraph.nodes_of(class_id):
+        if enode.op != pattern.op or len(enode.children) != len(pattern.children):
+            continue
+        stack = [subst]
+        for child_pat, child_class in zip(pattern.children, enode.children):
+            next_stack = []
+            for s in stack:
+                for candidate in _match_node(egraph, child_pat, child_class, s):
+                    next_stack.append(candidate)
+                    if len(next_stack) >= MAX_SUBSTITUTIONS_PER_NODE:
+                        break
+                if len(next_stack) >= MAX_SUBSTITUTIONS_PER_NODE:
+                    break
+            stack = next_stack
+            if not stack:
+                break
+        for s in stack:
+            yield s
+
+
+def search(egraph: EGraph, pattern: Pattern, limit: Optional[int] = None) -> List[Match]:
+    """Matches of one pattern, classes in sorted order, first ``limit`` kept."""
+    matches: List[Match] = []
+    for class_id in sorted(egraph.canonical_classes()):
+        for subst in _match_node(egraph, pattern.root, class_id, {}):
+            matches.append(Match(class_id=class_id, substitution=subst))
+            if limit is not None and len(matches) >= limit:
+                return matches
+    return matches
+
+
+class PerPatternEngine(SaturationEngine):
+    """The saturation loop with every rule searched on its own, uncapped by
+    the scheduler (only ``match_limit_per_rule`` truncates)."""
+
+    def _search(self, matcher, active, caps):
+        limit = self.limits.match_limit_per_rule
+        return {i: search(self.egraph, self.rules[i].lhs, limit=limit) for i in active}
+
+
+def assert_views_match_object_model(egraph: EGraph) -> None:
+    """The matcher's class views equal a scan of canonicalized nodes."""
+    expected_nodes: Dict[str, Dict[int, List[Tuple[int, ...]]]] = {}
+    expected_payloads: Dict[int, set] = {}
+    for cid in sorted(egraph.canonical_classes()):
+        for node in egraph.nodes_of(cid):
+            node = node.canonicalize(egraph.union_find)
+            expected_nodes.setdefault(node.op, {}).setdefault(cid, []).append(node.children)
+            if node.op == VAR:
+                expected_payloads.setdefault(cid, set()).add(node.payload)
+    nodes, payloads = class_views(egraph)
+    assert nodes == expected_nodes
+    assert payloads == expected_payloads
+    for per_class in nodes.values():
+        assert list(per_class) == sorted(per_class)  # candidate order
 
 
 class LinearScanSolver(SatSolver):

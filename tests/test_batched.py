@@ -1,41 +1,52 @@
 """Batched e-matching parity and wiring tests.
 
-The tentpole invariant: the shared-prefix trie over columnar storage
-(:mod:`repro.engine.batched`) produces exactly the per-pattern reference's
-matches — same counts, same substitutions, same order, same ``limit``
-truncation prefix — so a batched saturation run lands on an identical
-e-graph under every scheduler/dedup combination.  Plus the config surface:
-``matcher=`` through the pipeline DSL, ``EmorphicConfig``, the bench
-harness's parity/speedup columns, and ``FrozenProblem.from_columns``.
+The invariant: the shared-prefix trie over per-search class views
+(:mod:`repro.engine.batched`, the only production e-matcher) produces exactly
+the per-pattern reference's matches — same counts, same substitutions, same
+order, same ``limit`` truncation prefix — so a saturation run lands on the
+e-graph of the per-pattern oracle loop (``tests/oracles.py``) under every
+scheduler/dedup combination.  Parity is fuzzed on random e-graphs whose
+``EClass.nodes`` hold stale child ids.  Plus the retired matcher knobs: the
+DSL rejects them and old stored payloads that carry them still load.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import AND, NOT, OR
 from repro.egraph.pattern import parse_pattern
+from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
-    MATCHERS,
+    BackoffScheduler,
     BatchedMatcher,
     EngineLimits,
     SaturationEngine,
+    SaturationProfile,
     compile_pattern,
     priorities_from_attribution,
-    resolve_matcher,
 )
-from repro.engine.columns import ColumnStore
-from repro.extraction.cost import NodeCountCost
-from repro.extraction.engine.problem import FrozenProblem
 from repro.flows.emorphic import EmorphicConfig
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, PipelineError
+from oracles import PerPatternEngine, search
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _test_egraph(name="adder"):
@@ -47,20 +58,30 @@ def _limits(iters=2, nodes=6000):
 
 
 def _zeroed_profile(profile):
-    """Profile JSON with timings zeroed — everything else must be identical."""
+    """Profile JSON with timings and trie visits zeroed (the oracle loop does
+    not walk a trie) — everything else must be identical."""
 
     def zero(obj):
         if isinstance(obj, dict):
             return {
-                k: 0.0 if isinstance(v, float) else zero(v)
+                k: 0.0 if isinstance(v, float) else 0 if k == "trie_visits" else zero(v)
                 for k, v in obj.items()
-                if k != "matcher"
             }
         if isinstance(obj, list):
             return [zero(v) for v in obj]
         return obj
 
     return zero(profile.to_dict())
+
+
+def _reference(eg, rules, limit=None, caps=None):
+    """Per-rule oracle matches, each rule truncated at ``min(limit, cap)``."""
+    out = {}
+    for i, rule in enumerate(rules):
+        cap = (caps or {}).get(i)
+        bound = cap if limit is None else limit if cap is None else min(cap, limit)
+        out[i] = search(eg, rule.lhs, limit=bound)
+    return out
 
 
 class TestCompilePattern:
@@ -93,7 +114,6 @@ class TestTrieSharing:
     def test_prefix_sharing_shrinks_trie(self):
         matcher = BatchedMatcher(boolean_rules())
         stats = matcher.trie_stats()
-        assert stats["fallback_rules"] == 0
         assert stats["rules"] == len(boolean_rules())
         # Shared prefixes: strictly fewer roots than rules, and fewer edges
         # than the sum of standalone pattern sizes would need.
@@ -103,128 +123,226 @@ class TestTrieSharing:
     def test_priority_ordering_reorders_not_changes(self):
         rules = boolean_rules()
         eg = _test_egraph()
-        cols = ColumnStore(eg)
         active = list(range(len(rules)))
-        plain = BatchedMatcher(rules).search(cols, active, egraph=eg)
+        plain = BatchedMatcher(rules).search(eg, active)
         prioritized = BatchedMatcher(
             rules, rule_priorities={rules[0].name: 100.0, rules[-1].name: 50.0}
-        ).search(cols, active, egraph=eg)
+        ).search(eg, active)
         assert plain == prioritized
+
+
+#: Rules with symbol leaves, so fuzzing also covers the ``s`` dispatch form.
+_SYMBOL_RULES = [
+    Rewrite.from_strings("sym-and", f"({AND} v0 ?x)", f"({AND} ?x v0)"),
+    Rewrite.from_strings("sym-nested", f"({OR} ({NOT} v1) ?y)", f"({OR} ?y ({NOT} v1))"),
+]
+
+
+def _random_egraph(seed: int) -> EGraph:
+    """Random adds and unions, then ``rebuild``: classes that repair never
+    touched keep stale child ids in ``EClass.nodes``."""
+    rng = random.Random(seed)
+    eg = EGraph()
+    classes = [eg.var(f"v{i}") for i in range(4)]
+    for _ in range(rng.randint(10, 80)):
+        action = rng.random()
+        if action < 0.7:
+            op = rng.choice([AND, OR, NOT])
+            arity = 1 if op == NOT else 2
+            classes.append(eg.add_term(op, [rng.choice(classes) for _ in range(arity)]))
+        else:
+            eg.union(rng.choice(classes), rng.choice(classes))
+    eg.rebuild()
+    return eg
 
 
 class TestMatchParity:
     """Per-rule match lists identical to the per-pattern reference."""
 
-    def _reference(self, eg, rules, limit=None):
-        return {
-            i: rule.search(eg, limit=limit)
-            for i, rule in enumerate(rules)
-        }
-
     @pytest.mark.parametrize("circuit", ["adder", "mem_ctrl"])
     def test_exact_match_lists(self, circuit):
         eg = _test_egraph(circuit)
         rules = boolean_rules()
-        cols = ColumnStore(eg)
-        matcher = BatchedMatcher(rules)
-        batched = matcher.search(cols, range(len(rules)), egraph=eg)
-        reference = self._reference(eg, rules)
-        assert batched == reference
+        batched = BatchedMatcher(rules).search(eg, range(len(rules)))
+        assert batched == _reference(eg, rules)
 
     def test_parity_survives_apply_rebuild_cycles(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
         engine = SaturationEngine(eg, rules, limits=_limits(iters=1))
         for _ in range(2):
-            batched = matcher.search(cols, range(len(rules)), egraph=eg)
-            assert batched == self._reference(eg, rules)
-            cols.check_lockstep()
+            assert matcher.search(eg, range(len(rules))) == _reference(eg, rules)
             engine.run()  # one apply+rebuild round between parity checks
-        assert matcher.search(cols, range(len(rules)), egraph=eg) == self._reference(
-            eg, rules
-        )
-        cols.check_lockstep()
+        assert matcher.search(eg, range(len(rules))) == _reference(eg, rules)
 
     def test_limit_truncation_same_prefix(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
-        matcher = BatchedMatcher(rules)
-        batched = matcher.search(cols, range(len(rules)), limit=7, egraph=eg)
-        assert batched == self._reference(eg, rules, limit=7)
+        batched = BatchedMatcher(rules).search(eg, range(len(rules)), limit=7)
+        assert batched == _reference(eg, rules, limit=7)
 
     def test_ban_pruning_skips_inactive_rules(self):
         eg = _test_egraph("adder")
         rules = boolean_rules()
-        cols = ColumnStore(eg)
         matcher = BatchedMatcher(rules)
         active = [0, 3, 5]
-        out = matcher.search(cols, active, egraph=eg)
+        out = matcher.search(eg, active)
         assert set(out) == set(active)
-        full = matcher.search(cols, range(len(rules)), egraph=eg)
+        full = matcher.search(eg, range(len(rules)))
         for index in active:
             assert out[index] == full[index]
 
-    def test_fallback_requires_egraph(self):
-        eg = EGraph()
-        eg.var("a")
-        cols = ColumnStore(eg)
-        from repro.egraph.rewrite import Rewrite
-
+    def test_non_operator_root_rejected(self):
         rule = Rewrite("odd-root", parse_pattern("?x"), parse_pattern("?x"))
-        matcher = BatchedMatcher([rule])
         with pytest.raises(ValueError, match="non-operator LHS root"):
-            matcher.search(cols, [0])
-        assert matcher.search(cols, [0], egraph=eg) == {0: rule.search(eg)}
+            BatchedMatcher([rule])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        cap_seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_fuzzed_parity_with_oracle(self, seed, cap_seed):
+        eg = _random_egraph(seed)
+        rules = boolean_rules() + _SYMBOL_RULES
+        matcher = BatchedMatcher(rules)
+        active = range(len(rules))
+        assert matcher.search(eg, active) == _reference(eg, rules)
+        rng = random.Random(cap_seed)
+        caps = {i: rng.randint(1, 12) for i in active if rng.random() < 0.7}
+        limit = rng.choice([None, 5, 40])
+        assert matcher.search(eg, active, limit=limit, caps=caps) == _reference(
+            eg, rules, limit=limit, caps=caps
+        )
+
+    def test_matcher_holds_no_views_after_search(self):
+        eg = _test_egraph("adder")
+        rules = boolean_rules()
+        matcher = BatchedMatcher(rules)
+        tracemalloc.start()
+        try:
+            matcher.search(eg, range(len(rules)))  # allocate the trie's per-search sets
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = matcher.search(eg, range(len(rules)))
+            del out
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The search builds views of every class (a large peak); once it has
+        # returned, nothing it built is still alive.
+        assert peak - before > 100_000
+        assert after - before < 10_000
+
+
+class TestSchedulerCaps:
+    """``search_cap`` truncation is exact under the backoff scheduler."""
+
+    def test_backoff_caps_are_exact(self):
+        rules = boolean_rules()
+        eg = _test_egraph("adder")
+        matcher = BatchedMatcher(rules)
+        active = list(range(len(rules)))
+        capped_sched, uncapped_sched = BackoffScheduler(match_limit=4), BackoffScheduler(match_limit=4)
+        for iteration in range(3):
+            caps = {i: capped_sched.search_cap(rules[i].name) for i in active}
+            capped = matcher.search(eg, active, caps=caps)
+            uncapped = matcher.search(eg, active)
+            for i in active:
+                name = rules[i].name
+                kept_capped = capped[i][: capped_sched.allowed_matches(iteration, name, len(capped[i]))]
+                kept_uncapped = uncapped[i][
+                    : uncapped_sched.allowed_matches(iteration, name, len(uncapped[i]))
+                ]
+                assert kept_capped == kept_uncapped
+        assert capped_sched.stats == uncapped_sched.stats
+        assert any(state.times_banned for state in capped_sched.stats.values())
+
+    def test_engine_caps_match_uncapped_oracle_loop(self):
+        def run(cls):
+            eg = _test_egraph("adder")
+            scheduler = BackoffScheduler(match_limit=30, ban_length=1)
+            profile = cls(eg, boolean_rules(), limits=_limits(iters=4), scheduler=scheduler).run()
+            bans = {
+                name: (state.times_banned, state.banned_until)
+                for name, state in scheduler.stats.items()
+            }
+            return egraph_digest(eg), _zeroed_profile(profile), bans
+
+        capped = run(SaturationEngine)
+        assert capped == run(PerPatternEngine)
+        assert any(times for times, _ in capped[2].values())
+
+    def test_simple_scheduler_has_no_cap(self):
+        from repro.engine import SimpleScheduler
+
+        assert SimpleScheduler().search_cap("and-comm") is None
+        backoff = BackoffScheduler(match_limit=10)
+        assert backoff.search_cap("and-comm") == 11
+        backoff.allowed_matches(0, "and-comm", 11)  # overflow: banned once
+        assert backoff.search_cap("and-comm") == 21
 
 
 class TestEngineParity:
-    """Whole saturation runs: identical e-graphs and telemetry counters."""
+    """Whole saturation runs against the per-pattern oracle loop."""
 
     @pytest.mark.parametrize("scheduler", ["simple", "backoff"])
     @pytest.mark.parametrize("dedup", [True, False])
     def test_identical_final_egraph(self, scheduler, dedup):
-        def run(matcher):
+        def run(cls):
             eg = _test_egraph("adder")
-            engine = SaturationEngine(
-                eg,
-                boolean_rules(),
-                limits=_limits(),
-                scheduler=scheduler,
-                dedup_matches=dedup,
-                matcher=matcher,
-            )
-            profile = engine.run()
+            profile = cls(
+                eg, boolean_rules(), limits=_limits(), scheduler=scheduler, dedup_matches=dedup
+            ).run()
             return egraph_digest(eg), _zeroed_profile(profile)
 
-        digest_ref, profile_ref = run("indexed")
-        digest_bat, profile_bat = run("batched")
-        assert digest_bat == digest_ref
-        assert profile_bat == profile_ref
+        assert run(SaturationEngine) == run(PerPatternEngine)
 
     def test_batched_run_is_deterministic(self):
         def run():
             eg = _test_egraph("adder")
-            SaturationEngine(
-                eg, boolean_rules(), limits=_limits(), matcher="batched"
-            ).run()
+            SaturationEngine(eg, boolean_rules(), limits=_limits()).run()
             return egraph_digest(eg)
 
         assert run() == run()
 
-    def test_profile_records_matcher(self):
+    def test_profile_records_trie_visits(self):
         eg = _test_egraph("adder")
-        engine = SaturationEngine(
-            eg, boolean_rules(), limits=_limits(iters=1), matcher="batched"
+        profile = SaturationEngine(eg, boolean_rules(), limits=_limits(iters=1)).run()
+        visits = {name: rule.trie_visits for name, rule in profile.rules.items()}
+        assert visits["and-comm"] > 0
+        payload = json.loads(json.dumps(profile.to_dict()))
+        assert payload["trie_visits"] == sum(visits.values())
+        assert payload["rules"]["and-comm"]["trie_visits"] == visits["and-comm"]
+        assert "matcher" not in payload and "indexed" not in payload
+
+    def test_trie_visits_identical_across_processes(self):
+        script = (
+            "import json\n"
+            "from repro.benchgen import epfl\n"
+            "from repro.conversion.dag2eg import aig_to_egraph\n"
+            "from repro.egraph.rules import boolean_rules\n"
+            "from repro.engine import EngineLimits, SaturationEngine\n"
+            "eg = aig_to_egraph(epfl.build('adder', preset='test')).egraph\n"
+            "limits = EngineLimits(max_iterations=2, max_nodes=6000, time_limit=30.0)\n"
+            "profile = SaturationEngine(eg, boolean_rules(), limits=limits).run()\n"
+            "print(json.dumps({n: r.trie_visits for n, r in profile.rules.items()}))\n"
         )
-        profile = engine.run()
-        assert profile.matcher == "batched"
-        assert json.loads(json.dumps(profile.to_dict()))["matcher"] == "batched"
+        results = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            results.append(json.loads(proc.stdout))
+        eg = _test_egraph("adder")
+        profile = SaturationEngine(eg, boolean_rules(), limits=_limits()).run()
+        here = {name: rule.trie_visits for name, rule in profile.rules.items()}
+        assert results[0] == results[1] == here
 
     def test_match_limit_truncation_parity(self):
-        def run(matcher):
+        def run(cls):
             eg = _test_egraph("adder")
             limits = EngineLimits(
                 max_iterations=2,
@@ -232,31 +350,10 @@ class TestEngineParity:
                 time_limit=30.0,
                 match_limit_per_rule=37,
             )
-            profile = SaturationEngine(
-                eg, boolean_rules(), limits=limits, matcher=matcher
-            ).run()
+            profile = cls(eg, boolean_rules(), limits=limits).run()
             return egraph_digest(eg), _zeroed_profile(profile)
 
-        assert run("batched") == run("indexed")
-
-
-class TestResolveMatcher:
-    def test_none_defers_to_index_flag(self):
-        assert resolve_matcher(None, True) == "indexed"
-        assert resolve_matcher(None, False) == "scan"
-
-    def test_explicit_names(self):
-        for name in MATCHERS:
-            assert resolve_matcher(name, True) == name
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            resolve_matcher("quantum", True)
-
-    def test_engine_batched_implies_index(self):
-        eg = _test_egraph("adder")
-        engine = SaturationEngine(eg, boolean_rules(), matcher="batched")
-        assert engine.use_index is True
+        assert run(SaturationEngine) == run(PerPatternEngine)
 
 
 class TestPriorities:
@@ -281,43 +378,39 @@ class TestPriorities:
 
 class TestWiring:
     def test_pipeline_saturate_matcher_param(self):
-        pipe = Pipeline.from_script(
-            "strash; premap; dag2eg; saturate(iters=1, matcher=batched); "
-            "extract(method=greedy); map"
-        )
-        ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.metrics["saturation_matcher"] == "batched"
-        assert ctx.egraph_columns is not None
-        ctx.egraph_columns.check_lockstep()
+        # The matcher knob is retired: the DSL rejects it, naming what the
+        # saturate pass does accept.
+        with pytest.raises(PipelineError, match="accepted: dedup, iters, max_nodes"):
+            Pipeline.from_script("strash; dag2eg; saturate(iters=1, matcher=batched)")
 
     def test_pipeline_rejects_unknown_matcher(self):
-        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1, matcher=nope)")
-        with pytest.raises(ValueError, match="unknown matcher"):
-            pipe.run(epfl.build("adder", preset="test"))
+        with pytest.raises(PipelineError, match="matcher"):
+            Pipeline.from_script("strash; dag2eg; saturate(iters=1, matcher=nope)")
 
-    def test_indexed_matcher_leaves_no_columns(self):
-        pipe = Pipeline.from_script("strash; dag2eg; saturate(iters=1)")
-        ctx = pipe.run(epfl.build("adder", preset="test"))
-        assert ctx.metrics["saturation_matcher"] == "indexed"
-        assert ctx.egraph_columns is None
+    def test_pipeline_rejects_retired_index_param(self):
+        with pytest.raises(PipelineError, match="accepted: dedup, iters, max_nodes"):
+            Pipeline.from_script("strash; dag2eg; saturate(iters=1, index=false)")
 
     def test_emorphic_config_round_trip(self):
-        config = EmorphicConfig(matcher="batched")
-        assert EmorphicConfig.from_dict(config.to_dict()).matcher == "batched"
-        assert EmorphicConfig().matcher == "indexed"
+        config = EmorphicConfig(scheduler="simple")
+        payload = config.to_dict()
+        assert "matcher" not in payload and "use_op_index" not in payload
+        assert EmorphicConfig.from_dict(payload) == config
+        # Retired knobs in an old payload are dropped, not rejected.
+        legacy = dict(payload, matcher="batched", use_op_index=False)
+        assert EmorphicConfig.from_dict(legacy) == config
+        with pytest.raises(ValueError, match="unknown EmorphicConfig fields"):
+            EmorphicConfig.from_dict(dict(payload, bogus=1))
 
-    def test_frozen_problem_from_columns_equals_build(self):
-        circuit = aig_to_egraph(epfl.build("adder", preset="test"))
-        eg = circuit.egraph
-        engine = SaturationEngine(
-            eg, boolean_rules(), limits=_limits(iters=1), matcher="batched"
-        )
-        engine.run()
-        roots = list(circuit.output_classes)
-        built = FrozenProblem.build(eg, roots, cost=NodeCountCost())
-        mirrored = FrozenProblem.from_columns(engine.columns, roots, cost=NodeCountCost())
-        assert mirrored.nodes == built.nodes
-        assert mirrored.children == built.children
-        assert mirrored.node_costs == built.node_costs
-        assert mirrored.roots == built.roots
-        assert mirrored.mode == built.mode
+    def test_schema8_store_record_still_loads(self):
+        record = json.loads((FIXTURES / "store_record_v8.json").read_text())
+        assert record["schema"] == 8
+        config = EmorphicConfig.from_dict(record["job"]["config"])
+        assert config.rewrite_iterations == record["job"]["config"]["rewrite_iterations"]
+        saturation = record["result"]["saturation"]
+        assert saturation["matcher"] == "indexed"
+        profile = SaturationProfile.from_dict(saturation)
+        assert profile.total_matches == saturation["total_matches"]
+        assert profile.final_nodes == saturation["final_nodes"]
+        assert all(rule.trie_visits == 0 for rule in profile.rules.values())
+        assert "matcher" not in profile.to_dict()

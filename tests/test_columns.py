@@ -1,10 +1,12 @@
-"""Column-store invariants: the struct-of-arrays mirror stays in lockstep.
+"""Class-view invariants: the matcher's columns stay in lockstep with the e-graph.
 
-Randomized add/union/rebuild sequences drive a :class:`ColumnStore` attached
-to an :class:`EGraph` and assert — via ``check_lockstep()`` — that the
-columnar union-find, per-class node spans, and per-op class buckets agree
-with the object model and with a from-scratch ``OpIndex`` scan after every
-mutation batch (ISSUE satellite f).
+:func:`repro.engine.batched.class_views` turns the object model into the
+columns the trie walk reads — ``op -> class -> [child tuple, ...]`` plus the
+VAR payloads of leaf classes — in one scan per search.  These tests drive
+randomized add/union/rebuild sequences (and whole saturation runs) and assert,
+via :func:`oracles.assert_views_match_object_model`, that the views agree node
+for node with ``EClass.nodes`` canonicalized through ``find``, including
+classes that repair never touched and that keep stale child ids.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import pytest
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.egraph import EGraph
-from repro.egraph.language import AND, NOT, OR
+from repro.egraph.language import AND, NOT, OR, VAR
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.engine.columns import ClassView, ColumnStore, op_id, op_name
+from repro.engine.batched import class_views
+from oracles import assert_views_match_object_model
+
+_LIMITS = EngineLimits(max_iterations=2, max_nodes=6000, time_limit=10.0)
 
 
 def _seeded_egraph():
@@ -31,110 +36,92 @@ def _seeded_egraph():
     return eg
 
 
-class TestOpInterning:
-    def test_round_trip(self):
-        oid = op_id(AND)
-        assert op_name(oid) == AND
-
-    def test_stable_across_calls(self):
-        assert op_id(OR) == op_id(OR)
+def _num_view_nodes(nodes):
+    return sum(len(bucket) for per_class in nodes.values() for bucket in per_class.values())
 
 
 class TestIncrementalMirror:
     def test_seeds_from_existing_egraph(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        cols.check_lockstep()
+        assert_views_match_object_model(eg)
+        nodes, _ = class_views(eg)
+        assert _num_view_nodes(nodes) == eg.num_nodes
 
     def test_on_add_grows_columns(self):
         eg = EGraph()
-        cols = ColumnStore(eg)
         a = eg.var("a")
         b = eg.var("b")
         eg.add_term(AND, [a, b])
-        cols.check_lockstep()
-        assert cols.num_nodes == 3
+        assert_views_match_object_model(eg)
+        nodes, _ = class_views(eg)
+        assert _num_view_nodes(nodes) == 3
 
     def test_on_union_splices_spans(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
         a = eg.var("a")
         b = eg.var("b")
         eg.union(a, b)
         eg.rebuild()
-        cols.check_lockstep()
-        root = cols.find(a)
-        assert cols.find(b) == root
-        # The merged class's span holds both VAR leaves.
-        view = cols.class_view(root)
-        assert view.var_payloads == {"a", "b"}
+        assert_views_match_object_model(eg)
+        root = eg.find(a)
+        assert eg.find(b) == root
+        # The merged class holds both VAR leaves.
+        _, payloads = class_views(eg)
+        assert payloads[root] == {"a", "b"}
 
     def test_repair_dedups_span_like_object_model(self):
         # Union two leaves so two previously distinct AND nodes become
-        # congruent: repair must drop the duplicate from the span exactly as
-        # EClass.nodes does.
+        # congruent: the views drop the duplicate exactly as EClass.nodes does.
         eg = EGraph()
         a, b, c = (eg.var(x) for x in "abc")
         eg.add_term(AND, [a, c])
         eg.add_term(AND, [b, c])
-        cols = ColumnStore(eg)
         eg.union(a, b)
         eg.rebuild()
-        cols.check_lockstep()
-
-    def test_detach_freezes_columns(self):
-        eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        before = cols.num_nodes
-        cols.detach()
-        eg.add_term(AND, [eg.var("z"), eg.var("w")])
-        assert cols.num_nodes == before
-
-    def test_generation_bumps_on_union(self):
-        eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        gen = cols.generation
-        eg.union(eg.var("a"), eg.var("b"))
-        assert cols.generation == gen + 1
+        assert_views_match_object_model(eg)
+        nodes, _ = class_views(eg)
+        assert [len(bucket) for bucket in nodes[AND].values()] == [1]
 
 
 class TestReads:
     def test_class_view_buckets_by_op(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        a = eg.var("a")
-        view = cols.class_view(cols.find(a))
-        assert isinstance(view, ClassView)
-        assert view.var_payloads == {"a"}
+        a, b = eg.var("a"), eg.var("b")
+        ab = eg.add_term(AND, [a, b])  # a hashcons hit: the seeded AND class
+        nodes, payloads = class_views(eg)
+        assert nodes[VAR][a] == [()]
+        assert payloads[a] == {"a"}
+        assert nodes[AND][ab] == [(a, b)]
+        assert ab not in payloads
 
     def test_classes_with_op_sorted(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        cids = cols.classes_with_op(AND)
+        nodes, _ = class_views(eg)
+        cids = list(nodes[AND])
         assert cids == sorted(cids)
         assert cids  # the seeded graph has an AND node
 
     def test_classes_with_unknown_op_empty(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
-        assert cols.classes_with_op("no-such-op-ever") == []
+        nodes, _ = class_views(eg)
+        assert "no-such-op-ever" not in nodes
 
     def test_canonical_class_ids_match_object_model(self):
         eg = _seeded_egraph()
-        cols = ColumnStore(eg)
         eg.union(eg.var("a"), eg.var("b"))
         eg.rebuild()
-        assert cols.canonical_class_ids() == sorted(eg.canonical_classes())
+        nodes, _ = class_views(eg)
+        view_ids = sorted({cid for per_class in nodes.values() for cid in per_class})
+        assert view_ids == sorted(eg.canonical_classes())
 
 
 class TestRandomizedLockstep:
-    """The satellite's core: seeded mutation storms with lockstep checks."""
+    """Seeded mutation storms with view checks after every step."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 40, 42])
     def test_random_add_union_rebuild(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        cols = ColumnStore(eg)
         classes = [eg.var(f"v{i}") for i in range(4)]
         for step in range(120):
             action = rng.random()
@@ -147,10 +134,12 @@ class TestRandomizedLockstep:
                 eg.union(rng.choice(classes), rng.choice(classes))
             else:
                 eg.rebuild()
-                cols.check_lockstep()
+            # The views are a pure function of the current object model, so
+            # they agree with it between rebuilds too.
+            assert_views_match_object_model(eg)
         eg.rebuild()
         eg.check_invariants()
-        cols.check_lockstep()
+        assert_views_match_object_model(eg)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_lockstep_through_saturation(self, seed):
@@ -161,34 +150,25 @@ class TestRandomizedLockstep:
             op = rng.choice([AND, OR, NOT])
             arity = 1 if op == NOT else 2
             classes.append(eg.add_term(op, [rng.choice(classes) for _ in range(arity)]))
-        cols = ColumnStore(eg)
         engine = SaturationEngine(
             eg,
             boolean_rules(),
             limits=EngineLimits(max_iterations=3, max_nodes=4000, time_limit=10.0),
         )
         engine.run()
-        cols.check_lockstep()
+        assert_views_match_object_model(eg)
 
     def test_lockstep_on_real_circuit(self):
         eg = aig_to_egraph(epfl.build("adder", preset="test")).egraph
-        cols = ColumnStore(eg)
-        engine = SaturationEngine(
-            eg,
-            boolean_rules(),
-            limits=EngineLimits(max_iterations=2, max_nodes=6000, time_limit=10.0),
-        )
-        engine.run()
-        cols.check_lockstep()
+        assert_views_match_object_model(eg)
+        SaturationEngine(eg, boolean_rules(), limits=_LIMITS).run()
+        assert_views_match_object_model(eg)
 
     def test_batched_engine_leaves_lockstep_columns(self):
+        # Between iterations the engine rebuilds, so every class is
+        # canonical and the views hold exactly the live e-nodes.
         eg = aig_to_egraph(epfl.build("adder", preset="test")).egraph
-        engine = SaturationEngine(
-            eg,
-            boolean_rules(),
-            limits=EngineLimits(max_iterations=2, max_nodes=6000, time_limit=10.0),
-            matcher="batched",
-        )
-        engine.run()
-        assert engine.columns is not None
-        engine.columns.check_lockstep()
+        SaturationEngine(eg, boolean_rules(), limits=_LIMITS).run()
+        nodes, _ = class_views(eg)
+        assert _num_view_nodes(nodes) == eg.num_nodes
+        assert_views_match_object_model(eg)

@@ -1,8 +1,9 @@
-"""Tests of the saturation engine: op-index, schedulers, dedup, telemetry.
+"""Tests of the saturation engine: schedulers, dedup, telemetry, the bench.
 
 Includes the randomized e-graph invariant suite: seeded add/union/rebuild
 sequences asserting hashcons consistency, congruence closure, the O(1)
-class/node counters, and op-index agreement with a from-scratch index.
+class/node counters, and that the batched matcher's class views and
+root-operator class lists agree with a from-scratch scan of the object model.
 """
 
 from __future__ import annotations
@@ -17,23 +18,24 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import AND, NOT, OR, VAR
-from repro.egraph.pattern import parse_pattern, search
+from repro.egraph.pattern import parse_pattern
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules, rules_by_name
 from repro.egraph.runner import Runner, RunnerLimits, saturate
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
     BackoffScheduler,
+    BatchedMatcher,
     EngineLimits,
-    OpIndex,
     SaturationEngine,
     SimpleScheduler,
     make_scheduler,
     saturate_engine,
-    scratch_index,
 )
+from repro.engine.batched import class_views
 from repro.engine.bench import check_regressions, render_bench, run_saturation_bench
 from repro.engine.telemetry import SaturationProfile
+from oracles import assert_views_match_object_model, search
 
 
 def _diamond_egraph():
@@ -45,7 +47,7 @@ def _diamond_egraph():
 
 
 # --------------------------------------------------------------------------
-# Randomized invariants: hashcons, congruence, counters, op-index agreement.
+# Randomized invariants: hashcons, congruence, counters, view agreement.
 
 
 class TestRandomizedInvariants:
@@ -55,7 +57,6 @@ class TestRandomizedInvariants:
     def test_random_add_union_rebuild(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        index = OpIndex(eg)
         classes = [eg.var(f"v{i}") for i in range(4)]
         for step in range(120):
             action = rng.random()
@@ -71,13 +72,12 @@ class TestRandomizedInvariants:
                 eg.rebuild()
         eg.rebuild()
         eg.check_invariants()  # hashcons + congruence + O(1) counters
-        assert index.snapshot() == scratch_index(eg)
+        assert_views_match_object_model(eg)
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_index_agreement_through_saturation(self, seed):
         rng = random.Random(seed)
         eg = EGraph()
-        index = OpIndex(eg)
         leaves = [eg.var(f"v{i}") for i in range(3)]
         for _ in range(25):
             op = rng.choice([AND, OR])
@@ -88,7 +88,7 @@ class TestRandomizedInvariants:
             EngineLimits(max_iterations=3, max_nodes=4_000),
         )
         eg.check_invariants()
-        assert index.snapshot() == scratch_index(eg)
+        assert_views_match_object_model(eg)
 
     def test_counters_match_recomputation(self):
         eg = _diamond_egraph()
@@ -99,50 +99,38 @@ class TestRandomizedInvariants:
 
 
 class TestOpIndex:
+    """The per-search op -> classes map that seeds every trie root."""
+
     def test_tracks_adds(self):
         eg = EGraph()
-        index = OpIndex(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
-        assert index.classes_with_op(AND) == {ab}
-        assert index.snapshot() == scratch_index(eg)
+        nodes, _ = class_views(eg)
+        assert set(nodes[AND]) == {ab}
+        assert_views_match_object_model(eg)
 
     def test_union_moves_ops(self):
         eg = EGraph()
-        index = OpIndex(eg)
         a, b = eg.var("a"), eg.var("b")
         ab = eg.add_term(AND, [a, b])
         ob = eg.add_term(OR, [a, b])
         root = eg.union(ab, ob)
         eg.rebuild()
-        assert index.classes_with_op(AND) == {root}
-        assert index.classes_with_op(OR) == {root}
-        assert index.snapshot() == scratch_index(eg)
+        nodes, _ = class_views(eg)
+        assert set(nodes[AND]) == {root}
+        assert set(nodes[OR]) == {root}
+        assert_views_match_object_model(eg)
 
     def test_candidates_restrict_search(self):
         eg = _diamond_egraph()
-        index = OpIndex(eg)
-        pattern = parse_pattern("(NOT ?x)")
-        candidates = index.candidates(pattern.root)
-        assert candidates is not None
+        nodes, _ = class_views(eg)
+        candidates = list(nodes[NOT])
+        pattern = parse_pattern(f"({NOT} ?x)")
         full = search(eg, pattern)
-        indexed = search(eg, pattern, candidates=candidates)
-        assert [(m.class_id, m.substitution) for m in full] == [
-            (m.class_id, m.substitution) for m in indexed
-        ]
+        assert [m.class_id for m in full] == candidates
+        rule = Rewrite("not-x", pattern, pattern)
+        assert BatchedMatcher([rule]).search(eg, [0])[0] == full
         assert len(candidates) < len(eg.class_ids())
-
-    def test_variable_root_means_all_classes(self):
-        eg = _diamond_egraph()
-        index = OpIndex(eg)
-        assert index.candidates(parse_pattern("?x").root) is None
-
-    def test_detach_stops_updates(self):
-        eg = EGraph()
-        index = OpIndex(eg)
-        index.detach()
-        eg.add_term(AND, [eg.var("a"), eg.var("b")])
-        assert index.classes_with_op(AND) == set()
 
 
 # --------------------------------------------------------------------------
@@ -152,10 +140,12 @@ class TestOpIndex:
 class TestDeterminism:
     def test_search_truncation_is_sorted(self):
         eg = _diamond_egraph()
-        matches = search(eg, parse_pattern("?x"), limit=3)
-        ids = [m.class_id for m in matches]
-        assert ids == sorted(ids)
-        assert ids == sorted(eg.class_ids())[:3]
+        rule = Rewrite.from_strings("any-and", f"({AND} ?a ?b)", f"({AND} ?b ?a)")
+        full = BatchedMatcher([rule]).search(eg, [0])[0]
+        truncated = BatchedMatcher([rule]).search(eg, [0], limit=1)[0]
+        ids = [m.class_id for m in full]
+        assert len(full) == 2 and ids == sorted(ids)
+        assert truncated == full[:1]
 
     @pytest.mark.parametrize("scheduler", ["simple", "backoff"])
     def test_repeated_runs_identical_digest(self, scheduler):
@@ -182,7 +172,7 @@ class TestLegacyParity:
         limits = RunnerLimits(max_iterations=3, max_nodes=2_500)
         report = Runner(eg1, boolean_rules(), limits).run()
         profile = SaturationEngine(
-            eg2, boolean_rules(), limits, scheduler="simple", use_index=False, dedup_matches=False
+            eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=False
         ).run()
         assert egraph_digest(eg1) == egraph_digest(eg2)
         assert report.stop_reason == profile.stop_reason
@@ -334,7 +324,9 @@ class TestTelemetry:
     def test_profile_counters(self):
         profile = self._profile()
         assert profile.scheduler == "backoff"
-        assert profile.indexed and profile.dedup
+        assert profile.dedup
+        assert profile.total_trie_visits > 0
+        assert profile.to_dict()["trie_visits"] == profile.total_trie_visits
         assert profile.total_matches > 0
         assert profile.total_applications > 0
         assert profile.search_time() >= 0 and profile.apply_time() >= 0
@@ -385,10 +377,10 @@ class TestTelemetry:
     def test_emorphic_config_roundtrips_engine_fields(self):
         from repro.flows.emorphic import EmorphicConfig
 
-        config = EmorphicConfig(scheduler="simple", use_op_index=False, dedup_matches=False)
+        config = EmorphicConfig(scheduler="simple", dedup_matches=False)
         back = EmorphicConfig.from_dict(config.to_dict())
         assert back.scheduler == "simple"
-        assert not back.use_op_index and not back.dedup_matches
+        assert not back.dedup_matches
 
 
 # --------------------------------------------------------------------------
@@ -471,19 +463,13 @@ class TestSaturationBench:
             circuits=["adder"], fast=True, iters=2, max_nodes=2_000, conflict_budget=20_000
         )
         entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"legacy", "indexed", "engine", "batched"}
+        assert set(entry["runs"]) == {"legacy", "engine"}
         for run in entry["runs"].values():
             assert run["wall_time"] > 0
             assert run["extraction_cec"] in ("equivalent", "unknown")
             assert run["extraction_cec"] != "counterexample"
         assert "engine" in entry["speedup"]
         assert payload["summary"]["geomean_speedup"]["engine"] > 0
-        # The batched matcher must be result-identical to its engine twin and
-        # report its speedup against the per-pattern "indexed" variant.
-        assert entry["matcher_parity"] == "equal"
-        assert entry["batched_speedup_vs_engine"] > 0
-        assert entry["batched_speedup_vs_indexed"] > 0
-        assert payload["summary"]["geomean_batched_vs_indexed"] > 0
         json.dumps(payload)  # JSON-serializable end to end
         assert "adder" in render_bench(payload)
 

@@ -112,6 +112,15 @@ class TestCli:
         assert "area=" in out and "delay=" in out
 
 
+class TestTraceSearchEffort:
+    def test_trace_prints_per_rule_trie_visits(self, capsys):
+        script = "st; dag2eg; saturate(iters=1, max_nodes=3000)"
+        assert main(["trace", script, "-c", "adder", "--preset", "test", "--depth", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "trie_visits=" in out  # the batched-match span's counter
+        assert "search effort" in out and "and-comm" in out
+
+
 class TestUnverifiedExitStatus:
     """A flow whose ``cec`` does not prove equivalence fails the exit status."""
 

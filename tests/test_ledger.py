@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from repro.obs.ledger import (
     LEDGER_SCHEMA,
     RunLedger,
@@ -146,6 +148,27 @@ class TestHistoryMath:
     def test_single_run_cannot_fail(self):
         assert check_records([_record(ands=10**6)]) == []
 
+    def test_record_stores_cec_verdict(self):
+        assert _record(verdict="equivalent")["verdict"] == "equivalent"
+        assert _record()["verdict"] is None
+
+    @pytest.mark.parametrize("verdict", ["counterexample", "unknown"])
+    def test_unverified_latest_run_fails_whatever_its_qor(self, verdict):
+        # Even a single run (no baseline) with better QoR fails the check.
+        failures = check_records([_record(ands=1, verdict=verdict)])
+        assert len(failures) == 1 and f"cec verdict {verdict}" in failures[0]
+        history = [_record(ts=0.0, verdict="equivalent"), _record(ands=90, ts=1.0, verdict=verdict)]
+        assert any("unverified" in f for f in check_records(history))
+
+    def test_only_the_latest_verdict_counts(self):
+        history = [_record(ts=0.0, verdict="unknown"), _record(ts=1.0, verdict="equivalent")]
+        assert check_records(history) == []
+
+    def test_run_without_cec_is_not_flagged(self):
+        history = [_record(ts=0.0), _record(ts=1.0)]
+        assert all(rec["verdict"] is None for rec in history)
+        assert check_records(history) == []
+
     def test_runtime_gate_uses_looser_ratio(self):
         records = [_record(runtime=1.0, ts=0.0), _record(runtime=1.8, ts=1.0)]
         # 1.8x is noisy-but-tolerated (< the 2.0x runtime ratio).
@@ -190,6 +213,15 @@ class TestHistoryCli:
             ledger.append(_record(ts=float(i)))
         assert main(["history", "--ledger", str(tmp_path), "--check"]) == 0
         ledger.append(_record(ands=110, ts=2.0))  # injected 10% ands regression
+        assert main(["history", "--ledger", str(tmp_path), "--check"]) == 1
+
+    def test_history_check_fails_on_unverified_run(self, tmp_path):
+        from repro.cli import main
+
+        ledger = RunLedger(tmp_path)
+        ledger.append(_record(ts=0.0, verdict="equivalent"))
+        assert main(["history", "--ledger", str(tmp_path), "--check"]) == 0
+        ledger.append(_record(ts=1.0, verdict="unknown"))
         assert main(["history", "--ledger", str(tmp_path), "--check"]) == 1
 
     def test_report_writes_html(self, tmp_path):

@@ -427,3 +427,6 @@ class TestExplainCli:
         assert derived == attribution["total_ands"] - attribution["original_ands"]
         assert json.loads(out_prov.read_text())["nodes"]
         assert "saturation_runs_total" in out_prom.read_text()
+        # Per-rule search effort rides the yield table and its JSON form.
+        assert "visits" in text
+        assert attribution["rules"]["and-comm"]["trie_visits"] > 0
