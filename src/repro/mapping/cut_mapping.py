@@ -22,6 +22,7 @@ from repro.mapping.choices import ChoiceClasses
 from repro.mapping.library import Gate, GateMatch, Library, default_library
 from repro.mapping.netlist import Netlist
 from repro.opt.cuts import Cut, enumerate_cuts
+from repro.opt.truth import permute
 
 
 @dataclass
@@ -309,15 +310,5 @@ def _remap_cut(cut: Cut, mapping: Dict[int, int]) -> Optional[Cut]:
         return None
     order = sorted(range(len(new_leaves_unsorted)), key=lambda i: new_leaves_unsorted[i])
     new_leaves = tuple(new_leaves_unsorted[i] for i in order)
-    # Permute the truth table so that input position j reads the old input order[j].
-    n = len(new_leaves)
-    width = 1 << n
-    new_truth = 0
-    for minterm in range(width):
-        src = 0
-        for new_pos, old_pos in enumerate(order):
-            if (minterm >> new_pos) & 1:
-                src |= 1 << old_pos
-        if (cut.truth >> src) & 1:
-            new_truth |= 1 << minterm
-    return Cut(leaves=new_leaves, truth=new_truth)
+    # Input position j reads the old input order[j].
+    return Cut(leaves=new_leaves, truth=permute(cut.truth, order, len(new_leaves)))

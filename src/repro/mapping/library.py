@@ -17,6 +17,7 @@ from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
 from repro.opt.npn import npn_canonical
+from repro.opt.truth import flip_var, full_mask, permute
 
 
 def _truth_from_expr(num_vars: int, func) -> int:
@@ -88,29 +89,24 @@ class Library:
 
     def _index_gate(self, gate: Gate) -> None:
         n = gate.num_inputs
-        width = 1 << n
+        mask = full_mask(n)
         for perm in permutations(range(n)):
+            # Pin p reads cut input perm[p], so cut input i feeds pin inverse[i].
+            inverse = tuple(sorted(range(n), key=perm.__getitem__))
             for neg_mask in range(1 << n):
+                flipped = gate.truth
+                for pin in range(n):
+                    if (neg_mask >> pin) & 1:
+                        flipped = flip_var(flipped, pin, n)
+                base = permute(flipped, inverse, n)
                 for out_neg in (False, True):
-                    truth = 0
-                    for minterm in range(width):
-                        gate_minterm = 0
-                        for pin in range(n):
-                            bit = (minterm >> perm[pin]) & 1
-                            if (neg_mask >> pin) & 1:
-                                bit ^= 1
-                            gate_minterm |= bit << pin
-                        value = (gate.truth >> gate_minterm) & 1
-                        if out_neg:
-                            value ^= 1
-                        truth |= value << minterm
                     match = GateMatch(
                         gate=gate,
                         leaf_of_pin=perm,
                         pin_negated=tuple(bool((neg_mask >> pin) & 1) for pin in range(n)),
                         output_negated=out_neg,
                     )
-                    key = (n, truth)
+                    key = (n, base ^ mask if out_neg else base)
                     existing = self._match_table.get(key)
                     if existing is None or self._match_rank(match) < self._match_rank(existing):
                         self._match_table[key] = match

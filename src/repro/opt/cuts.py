@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
+from repro.opt.truth import full_mask, stretch, var_mask
 
 
 @dataclass(frozen=True)
@@ -27,37 +28,8 @@ class Cut:
 
     @property
     def size(self) -> int:
+        """Number of leaves."""
         return len(self.leaves)
-
-    def dominates(self, other: "Cut") -> bool:
-        """True if this cut's leaves are a subset of the other's."""
-        return set(self.leaves) <= set(other.leaves)
-
-
-def _leaf_truth(index: int, num_leaves: int) -> int:
-    """Truth table of input variable ``index`` over ``num_leaves`` variables."""
-    width = 1 << num_leaves
-    word = 0
-    for minterm in range(width):
-        if (minterm >> index) & 1:
-            word |= 1 << minterm
-    return word
-
-
-def _expand_truth(truth: int, old_leaves: Sequence[int], new_leaves: Sequence[int]) -> int:
-    """Re-express ``truth`` (over ``old_leaves``) over the superset ``new_leaves``."""
-    pos = {leaf: i for i, leaf in enumerate(new_leaves)}
-    n_new = len(new_leaves)
-    width = 1 << n_new
-    out = 0
-    for minterm in range(width):
-        old_minterm = 0
-        for i, leaf in enumerate(old_leaves):
-            if (minterm >> pos[leaf]) & 1:
-                old_minterm |= 1 << i
-        if (truth >> old_minterm) & 1:
-            out |= 1 << minterm
-    return out
 
 
 def merge_cuts(cut0: Cut, cut1: Cut, compl0: bool, compl1: bool, k: int) -> Optional[Cut]:
@@ -65,10 +37,9 @@ def merge_cuts(cut0: Cut, cut1: Cut, compl0: bool, compl1: bool, k: int) -> Opti
     leaves = tuple(sorted(set(cut0.leaves) | set(cut1.leaves)))
     if len(leaves) > k:
         return None
-    width = 1 << len(leaves)
-    mask = (1 << width) - 1
-    t0 = _expand_truth(cut0.truth, cut0.leaves, leaves)
-    t1 = _expand_truth(cut1.truth, cut1.leaves, leaves)
+    mask = full_mask(len(leaves))
+    t0 = stretch(cut0.truth, cut0.leaves, leaves)
+    t1 = stretch(cut1.truth, cut1.leaves, leaves)
     if compl0:
         t0 ^= mask
     if compl1:
@@ -101,7 +72,7 @@ def enumerate_cuts(
     cuts: Dict[int, List[Cut]] = {}
     cuts[0] = [Cut(leaves=(), truth=0)]
     for var in aig.pis:
-        cuts[var] = [Cut(leaves=(var,), truth=_leaf_truth(0, 1))]
+        cuts[var] = [Cut(leaves=(var,), truth=var_mask(0, 1))]
     for node in aig.and_nodes():
         v0, v1 = lit_var(node.fanin0), lit_var(node.fanin1)
         c0, c1 = lit_is_compl(node.fanin0), lit_is_compl(node.fanin1)
@@ -116,13 +87,16 @@ def enumerate_cuts(
                 merged.append(cut)
         # Remove dominated cuts (a cut whose leaves are a superset of another's).
         filtered: List[Cut] = []
+        kept_sets: List[frozenset] = []
         for cut in sorted(merged, key=lambda c: (c.size, c.leaves)):
-            if any(other.dominates(cut) and other.leaves != cut.leaves for other in filtered):
+            leaf_set = frozenset(cut.leaves)
+            if any(other < leaf_set for other in kept_sets):
                 continue
             filtered.append(cut)
+            kept_sets.append(leaf_set)
         filtered = filtered[:cut_limit]
         if include_trivial:
-            filtered.append(Cut(leaves=(node.var,), truth=_leaf_truth(0, 1)))
+            filtered.append(Cut(leaves=(node.var,), truth=var_mask(0, 1)))
         cuts[node.var] = filtered
     return cuts
 
@@ -133,11 +107,10 @@ def cut_truth_table(aig: Aig, root: int, leaves: Sequence[int]) -> int:
     Computed by local simulation of the cone between the leaves and the root.
     """
     n = len(leaves)
-    width = 1 << n
     values: Dict[int, int] = {0: 0}
     for i, leaf in enumerate(leaves):
-        values[leaf] = _leaf_truth(i, n)
-    mask = (1 << width) - 1
+        values[leaf] = var_mask(i, n)
+    mask = full_mask(n)
 
     def eval_var(var: int) -> int:
         if var in values:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Tuple
+from typing import Dict, List
+
+from repro.opt.truth import flip_var, full_mask, permute
 
 
 def truth_num_vars(truth: int, max_vars: int = 6) -> int:
@@ -22,33 +24,8 @@ def truth_num_vars(truth: int, max_vars: int = 6) -> int:
 
 
 def negate_output(truth: int, num_vars: int) -> int:
-    mask = (1 << (1 << num_vars)) - 1
-    return truth ^ mask
-
-
-def negate_input(truth: int, var: int, num_vars: int) -> int:
-    """Swap the cofactors of ``var``."""
-    width = 1 << num_vars
-    out = 0
-    for minterm in range(width):
-        src = minterm ^ (1 << var)
-        if (truth >> src) & 1:
-            out |= 1 << minterm
-    return out
-
-
-def permute_inputs(truth: int, perm: Tuple[int, ...], num_vars: int) -> int:
-    """Apply an input permutation: new variable i reads old variable perm[i]."""
-    width = 1 << num_vars
-    out = 0
-    for minterm in range(width):
-        src = 0
-        for new_idx, old_idx in enumerate(perm):
-            if (minterm >> new_idx) & 1:
-                src |= 1 << old_idx
-        if (truth >> src) & 1:
-            out |= 1 << minterm
-    return out
+    """Complement the function."""
+    return truth ^ full_mask(num_vars)
 
 
 @lru_cache(maxsize=65536)
@@ -58,8 +35,7 @@ def npn_canonical(truth: int, num_vars: int) -> int:
     For 5 or 6 variables a semi-canonical form (output negation plus input
     negations only, no permutation) is used to keep runtime bounded.
     """
-    mask = (1 << (1 << num_vars)) - 1
-    truth &= mask
+    truth &= full_mask(num_vars)
     best = truth
     if num_vars <= 4:
         perms = list(permutations(range(num_vars)))
@@ -71,9 +47,9 @@ def npn_canonical(truth: int, num_vars: int) -> int:
             t = base
             for var in range(num_vars):
                 if (neg_mask >> var) & 1:
-                    t = negate_input(t, var, num_vars)
+                    t = flip_var(t, var, num_vars)
             for perm in perms:
-                candidate = permute_inputs(t, perm, num_vars)
+                candidate = permute(t, perm, num_vars)
                 if candidate < best:
                     best = candidate
     return best

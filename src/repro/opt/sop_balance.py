@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.aig.graph import Aig, lit_var
-from repro.opt.cuts import Cut, enumerate_cuts
+from repro.opt.cuts import Cut, cut_truth_table, enumerate_cuts
 from repro.opt.sop import isop_cover
 from repro.opt.synth import build_truth_sop_balanced, sop_balanced_depth
 
@@ -58,8 +58,6 @@ def sop_balance(aig: Aig, k: int = 6, cut_limit: int = 8) -> Aig:
         if best is None:
             # Fall back to the node's own two-input cut.
             leaves = tuple(sorted({lit_var(node.fanin0), lit_var(node.fanin1)}))
-            from repro.opt.cuts import cut_truth_table
-
             truth = cut_truth_table(aig, node.var, leaves)
             best = _NodeChoice(cut=Cut(leaves=leaves, truth=truth), arrival=max(arrivals[l] for l in leaves) + 1)
         choices[node.var] = best

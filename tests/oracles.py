@@ -15,10 +15,16 @@
   the per-pair prover it replaced: a fresh cone CNF and solver per pair.
 * :class:`LinearScanSolver` is the CDCL solver with the linear-scan decision
   rule that the VSIDS heap replaced.
+* :func:`leaf_truth`, :func:`expand_truth`, :func:`cofactors`,
+  :func:`var_halves`, :func:`negate_input`, :func:`permute_inputs`,
+  :func:`remap_cut` and :class:`MintermLibrary` are the per-minterm
+  truth-table loops that the bit-parallel kernel (``repro.opt.truth``)
+  replaced in the cut layer, the mapper and the cell library.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.aig.graph import Aig, lit_is_compl, lit_var
@@ -29,6 +35,8 @@ from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, Pat
 from repro.engine.batched import class_views
 from repro.engine.engine import SaturationEngine
 from repro.mapping.choices import ChoiceClasses
+from repro.mapping.library import Gate, GateMatch, Library
+from repro.opt.cuts import Cut
 from repro.verify.cec import CecResult
 from repro.verify.cnf import Cnf, encode_miter_output, tseitin_encode
 from repro.verify.sat import SatSolver
@@ -250,3 +258,136 @@ def per_pair_choice_classes(
             for var in confirmed:
                 classes.repr_of[var] = rep
     return classes
+
+
+def leaf_truth(index: int, num_leaves: int) -> int:
+    """Truth table of input variable ``index`` over ``num_leaves`` variables."""
+    width = 1 << num_leaves
+    word = 0
+    for minterm in range(width):
+        if (minterm >> index) & 1:
+            word |= 1 << minterm
+    return word
+
+
+def expand_truth(truth: int, old_leaves: Sequence[int], new_leaves: Sequence[int]) -> int:
+    """Re-express ``truth`` (over ``old_leaves``) over the superset ``new_leaves``."""
+    pos = {leaf: i for i, leaf in enumerate(new_leaves)}
+    n_new = len(new_leaves)
+    width = 1 << n_new
+    out = 0
+    for minterm in range(width):
+        old_minterm = 0
+        for i, leaf in enumerate(old_leaves):
+            if (minterm >> pos[leaf]) & 1:
+                old_minterm |= 1 << i
+        if (truth >> old_minterm) & 1:
+            out |= 1 << minterm
+    return out
+
+
+def cofactors(truth: int, var: int, num_vars: int) -> Tuple[int, int]:
+    """Return (negative cofactor, positive cofactor) as functions of all vars."""
+    width = 1 << num_vars
+    neg = pos = 0
+    for minterm in range(width):
+        bit = (truth >> minterm) & 1
+        if not bit:
+            continue
+        if (minterm >> var) & 1:
+            pos |= 1 << minterm
+            pos |= 1 << (minterm ^ (1 << var))
+        else:
+            neg |= 1 << minterm
+            neg |= 1 << (minterm ^ (1 << var))
+    return neg, pos
+
+
+def var_halves(var: int, num_vars: int) -> Tuple[int, int]:
+    """Minterm masks for var=0 and var=1 halves of the truth table."""
+    width = 1 << num_vars
+    mask = (1 << width) - 1
+    pos_mask = 0
+    for minterm in range(width):
+        if (minterm >> var) & 1:
+            pos_mask |= 1 << minterm
+    return mask ^ pos_mask, pos_mask
+
+
+def negate_input(truth: int, var: int, num_vars: int) -> int:
+    """Swap the cofactors of ``var``."""
+    width = 1 << num_vars
+    out = 0
+    for minterm in range(width):
+        src = minterm ^ (1 << var)
+        if (truth >> src) & 1:
+            out |= 1 << minterm
+    return out
+
+
+def permute_inputs(truth: int, perm: Tuple[int, ...], num_vars: int) -> int:
+    """Apply an input permutation: new variable i reads old variable perm[i]."""
+    width = 1 << num_vars
+    out = 0
+    for minterm in range(width):
+        src = 0
+        for new_idx, old_idx in enumerate(perm):
+            if (minterm >> new_idx) & 1:
+                src |= 1 << old_idx
+        if (truth >> src) & 1:
+            out |= 1 << minterm
+    return out
+
+
+def remap_cut(cut: Cut, mapping: Dict[int, int]) -> Optional[Cut]:
+    """Rename cut leaves according to ``mapping``, permuting the truth table."""
+    new_leaves_unsorted = [mapping[leaf] for leaf in cut.leaves]
+    if len(set(new_leaves_unsorted)) != len(new_leaves_unsorted):
+        return None
+    order = sorted(range(len(new_leaves_unsorted)), key=lambda i: new_leaves_unsorted[i])
+    new_leaves = tuple(new_leaves_unsorted[i] for i in order)
+    # Permute the truth table so that input position j reads the old input order[j].
+    n = len(new_leaves)
+    width = 1 << n
+    new_truth = 0
+    for minterm in range(width):
+        src = 0
+        for new_pos, old_pos in enumerate(order):
+            if (minterm >> new_pos) & 1:
+                src |= 1 << old_pos
+        if (cut.truth >> src) & 1:
+            new_truth |= 1 << minterm
+    return Cut(leaves=new_leaves, truth=new_truth)
+
+
+class MintermLibrary(Library):
+    """``Library`` building its match table one minterm at a time."""
+
+    def _index_gate(self, gate: Gate) -> None:
+        n = gate.num_inputs
+        width = 1 << n
+        for perm in permutations(range(n)):
+            for neg_mask in range(1 << n):
+                for out_neg in (False, True):
+                    truth = 0
+                    for minterm in range(width):
+                        gate_minterm = 0
+                        for pin in range(n):
+                            bit = (minterm >> perm[pin]) & 1
+                            if (neg_mask >> pin) & 1:
+                                bit ^= 1
+                            gate_minterm |= bit << pin
+                        value = (gate.truth >> gate_minterm) & 1
+                        if out_neg:
+                            value ^= 1
+                        truth |= value << minterm
+                    match = GateMatch(
+                        gate=gate,
+                        leaf_of_pin=perm,
+                        pin_negated=tuple(bool((neg_mask >> pin) & 1) for pin in range(n)),
+                        output_negated=out_neg,
+                    )
+                    key = (n, truth)
+                    existing = self._match_table.get(key)
+                    if existing is None or self._match_rank(match) < self._match_rank(existing):
+                        self._match_table[key] = match

@@ -2,23 +2,23 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.graph import aig_from_functions, lit_var
 from repro.aig.simulate import exhaustive_truth_tables
+from repro.mapping.cut_mapping import _remap_cut
+from repro.mapping.library import asap7_like_library
 from repro.opt.cuts import Cut, cut_cone_volume, cut_truth_table, enumerate_cuts, merge_cuts
-from repro.opt.npn import (
-    classify,
-    is_npn_equivalent,
-    negate_input,
-    negate_output,
-    npn_canonical,
-    permute_inputs,
-    truth_num_vars,
-)
+from repro.opt.npn import classify, is_npn_equivalent, negate_output, npn_canonical, truth_num_vars
 from repro.opt.sop import Cube, factor, factored_literal_count, isop, isop_cover, sop_truth
+from repro.opt.truth import cofactors, flip_var, permute, stretch, swap_vars, var_mask
+
+import oracles
+from cut_layer_digests import FIXTURE, all_digests
 
 
 def _xor_aig():
@@ -91,11 +91,11 @@ class TestNpn:
     def test_negate_input_swaps_cofactors(self):
         t_and = 0b1000
         # negating input 0 of AND gives b & !a -> truth 0b0100
-        assert negate_input(t_and, 0, 2) == 0b0100
+        assert flip_var(t_and, 0, 2) == 0b0100
 
     def test_permute_identity(self):
         t = 0b0110
-        assert permute_inputs(t, (0, 1), 2) == t
+        assert permute(t, (0, 1), 2) == t
 
     def test_and_variants_same_class(self):
         # a&b, a&!b, !a&b, !(a|b), a|b ... AND-family NPN class
@@ -117,7 +117,7 @@ class TestNpn:
         canon = npn_canonical(truth, 4)
         assert npn_canonical(canon, 4) == canon
         assert npn_canonical(negate_output(truth, 4), 4) == canon
-        assert npn_canonical(negate_input(truth, 2, 4), 4) == canon
+        assert npn_canonical(flip_var(truth, 2, 4), 4) == canon
 
 
 class TestSop:
@@ -171,9 +171,103 @@ class TestSop:
         cubes = [Cube(0b011, 0b011), Cube(0b101, 0b101)]
         assert factor(cubes).num_literals() == 3
 
+    def test_isop_cover_result_is_a_fresh_list(self):
+        cubes = isop_cover(0b0110, 2)
+        expected = list(cubes)
+        cubes.append(Cube(0, 0))
+        cubes.pop(0)
+        assert isop_cover(0b0110, 2) == expected
+
+    @given(st.integers(min_value=1, max_value=2**16 - 2))
+    @settings(max_examples=40, deadline=None)
+    def test_factored_literal_count_matches_fresh_factoring(self, truth):
+        fresh = factor(isop(truth, truth, 4)).num_literals()
+        assert factored_literal_count(truth, 4) == fresh
+
     def test_factor_empty_cover_raises(self):
         with pytest.raises(ValueError):
             factor([])
+
+
+@st.composite
+def _tables(draw, max_vars=8):
+    """(truth, n): an ``n``-variable table, sometimes with garbage high bits."""
+    n = draw(st.integers(min_value=0, max_value=max_vars))
+    truth = draw(st.integers(min_value=0, max_value=(1 << ((1 << n) + 3)) - 1))
+    return truth, n
+
+
+@st.composite
+def _leaf_subsets(draw):
+    """(truth, old_leaves, new_leaves) with sorted ``old_leaves`` within ``new_leaves``."""
+    new_leaves = sorted(draw(st.sets(st.integers(min_value=1, max_value=60), max_size=8)))
+    old_leaves = [leaf for leaf in new_leaves if draw(st.booleans())]
+    truth = draw(st.integers(min_value=0, max_value=(1 << (1 << len(old_leaves))) - 1))
+    return truth, old_leaves, new_leaves
+
+
+class TestTruthKernel:
+    """The bit-parallel kernel equals the per-minterm loops it replaced."""
+
+    @given(st.integers(min_value=1, max_value=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_var_mask(self, n, data):
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        assert var_mask(i, n) == oracles.leaf_truth(i, n)
+        assert var_mask(i, n) == oracles.var_halves(i, n)[1]
+
+    @given(_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_swap_vars(self, table, data):
+        truth, n = table
+        if n == 0:
+            return
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=0, max_value=n - 1))
+        perm = list(range(n))
+        perm[a], perm[b] = perm[b], perm[a]
+        assert swap_vars(truth, a, b, n) == oracles.permute_inputs(truth, tuple(perm), n)
+
+    @given(_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permute(self, table, data):
+        truth, n = table
+        perm = tuple(data.draw(st.permutations(range(n))))
+        assert permute(truth, perm, n) == oracles.permute_inputs(truth, perm, n)
+
+    @given(_tables(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_flip_var_and_cofactors(self, table, data):
+        truth, n = table
+        if n == 0:
+            return
+        var = data.draw(st.integers(min_value=0, max_value=n - 1))
+        assert flip_var(truth, var, n) == oracles.negate_input(truth, var, n)
+        assert cofactors(truth, var, n) == oracles.cofactors(truth, var, n)
+
+    @given(_leaf_subsets())
+    @settings(max_examples=150, deadline=None)
+    def test_stretch(self, case):
+        truth, old_leaves, new_leaves = case
+        assert stretch(truth, old_leaves, new_leaves) == oracles.expand_truth(truth, old_leaves, new_leaves)
+
+    @given(_leaf_subsets(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_remap_cut(self, case, data):
+        truth, _, leaves = case
+        truth &= (1 << (1 << len(leaves))) - 1
+        cut = Cut(leaves=tuple(leaves), truth=truth)
+        size = len(leaves)
+        targets = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=size, max_size=size))
+        mapping = dict(zip(leaves, targets))
+        assert _remap_cut(cut, mapping) == oracles.remap_cut(cut, mapping)
+
+    def test_library_match_table(self):
+        library = asap7_like_library()
+        reference = oracles.MintermLibrary(name=library.name)
+        for gate in library.gates:
+            reference.add(gate)
+        assert library._match_table == reference._match_table
 
 
 class TestSynth:
@@ -201,3 +295,8 @@ class TestSynth:
         assert exhaustive_truth_tables(aig)[0] == 0b10000000
         # The late leaf should be merged last: depth estimate 5 + 2 at most.
         assert arr <= 7.0
+
+
+class TestCutLayerDigests:
+    def test_bench_outputs_match_recorded_digests(self):
+        assert all_digests() == json.loads(FIXTURE.read_text())
