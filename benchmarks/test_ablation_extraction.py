@@ -22,8 +22,9 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
 from repro.egraph.runner import Runner, RunnerLimits
 from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
+from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.sa import SAExtractor, generate_neighbor
+from repro.extraction.sa import generate_neighbor
 
 from conftest import bench_preset, print_table
 
@@ -63,9 +64,12 @@ def _run_ablation() -> dict:
     cost = DepthCost()
     greedy = greedy_extract(circuit.egraph, cost)
     greedy_cost = extraction_cost(circuit.egraph, greedy, cost, circuit.output_classes)
-    sa_result = SAExtractor(
-        circuit.egraph, circuit.output_classes, cost=cost, moves_per_iteration=4, seed=3
-    ).run()
+    sa_result = portfolio_extract(
+        circuit.egraph,
+        circuit.output_classes,
+        cost=cost,
+        config=PortfolioConfig(chains=1, move_budget=16, migrate_every=4, seed=3, workers=0),
+    )
 
     # 3. Rewrite-iteration sweep: equivalence classes and nodes per iteration count.
     sweep = {}
@@ -81,7 +85,7 @@ def _run_ablation() -> dict:
         "unpruned_neighbor_time": unpruned_time,
         "greedy_depth_cost": greedy_cost,
         "sa_depth_cost": sa_result.cost,
-        "sa_initial_cost": sa_result.initial_cost,
+        "sa_initial_cost": sa_result.profile.initial_cost,
         "iteration_sweep": sweep,
     }
 

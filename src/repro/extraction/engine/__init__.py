@@ -1,25 +1,17 @@
 """The scalable extraction engine.
 
-Supersedes the naive per-move full-sweep SA loop the same way
-``repro.engine`` superseded ``egraph.Runner``: a frozen, index-based
+The repo's one simulated-annealing extractor: a frozen, index-based
 extraction problem (:mod:`problem`), delta-cost evaluation that prices an SA
-move by the ancestor cone of the flipped class with the full sweep kept as
-an exact-parity reference (:mod:`delta`), an island-model parallel portfolio
-of annealing / hill-climbing / random-restart chains with periodic
-best-solution migration (:mod:`portfolio`), per-chain telemetry
+move by the ancestor cone of the flipped class (:mod:`delta`; the full
+re-derivation is the parity oracle in ``tests/oracles.py``), an island-model
+parallel portfolio of annealing / hill-climbing / random-restart chains with
+periodic best-solution migration (:mod:`portfolio`), per-chain telemetry
 (:mod:`telemetry`), and the ``emorphic extract-bench`` harness
 (:mod:`bench`).
 """
 
 from repro.extraction.engine.chains import CHAIN_KINDS, ChainSpec, ChainState, init_chain, run_round
-from repro.extraction.engine.delta import (
-    EVALUATORS,
-    CostEvaluator,
-    DeltaCostEvaluator,
-    FullCostEvaluator,
-    choice_cost,
-    make_evaluator,
-)
+from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.portfolio import (
     DEFAULT_CHAIN_SPECS,
     SEED_STRIDE,
@@ -35,11 +27,7 @@ __all__ = [
     "FrozenProblem",
     "ProblemStats",
     "choice_cost",
-    "CostEvaluator",
     "DeltaCostEvaluator",
-    "FullCostEvaluator",
-    "make_evaluator",
-    "EVALUATORS",
     "ChainSpec",
     "ChainState",
     "CHAIN_KINDS",

@@ -1,18 +1,16 @@
-"""The extraction benchmark: legacy SA loop vs delta engine vs portfolio.
+"""The extraction benchmark: one delta-cost chain vs the island portfolio.
 
 ``run_extraction_bench`` saturates the largest benchgen circuits once (the
-default saturation engine), then races three extractors over the *same*
+default saturation engine), then runs two extractor shapes over the *same*
 saturated e-graph at an equal total move budget —
 
-* ``legacy``    — the pre-engine ``SAExtractor`` loop: every move pays a full
-  bottom-up neighbour sweep plus a from-scratch DAG cost evaluation;
 * ``delta``     — one portfolio chain with delta-cost evaluation: a move
   re-prices only the ancestor cone of the flipped class;
 * ``portfolio`` — the island-model parallel portfolio (delta evaluation,
   best-solution migration) splitting the same budget across its chains;
 
 — and checks every winning extraction for combinational equivalence against
-the input circuit, so the speedups are guarded by correctness.  The payload
+the input circuit, so the timings are guarded by correctness.  The payload
 is what ``emorphic extract-bench`` writes to ``BENCH_extraction.json`` and
 what CI gates against ``benchmarks/extraction_reference.json`` via the same
 :func:`repro.engine.bench.check_regressions` the saturation gate uses.
@@ -20,9 +18,8 @@ what CI gates against ``benchmarks/extraction_reference.json`` via the same
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
@@ -32,7 +29,6 @@ from repro.engine.bench import check_regressions  # noqa: F401  (re-export: shar
 from repro.engine.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost
 from repro.extraction.engine.portfolio import PortfolioConfig, portfolio_extract
-from repro.extraction.sa import AnnealingSchedule, SAExtractor
 from repro.obs import trace as obs
 from repro.obs.export import span_summary
 
@@ -41,7 +37,7 @@ BENCH_SCHEMA = 1
 #: The largest benchgen circuits (by AND count under the ``bench`` preset).
 DEFAULT_CIRCUITS = ("log2", "sin", "multiplier", "hyp")
 
-VARIANT_NAMES = ("legacy", "delta", "portfolio")
+VARIANT_NAMES = ("delta", "portfolio")
 
 
 def _bench_one(
@@ -58,65 +54,39 @@ def _bench_one(
     cost = DepthCost()
     start = time.perf_counter()
     # The run's own tracer: the per-phase digest lands in the payload under
-    # the additive "span_summary" key (the gate only reads the legacy fields).
+    # the additive "span_summary" key (the gate reads only the timing and CEC fields).
     with obs.tracing() as tracer:
-        if variant == "legacy":
-            iterations = 4
-            moves = max(1, move_budget // iterations)
-            result = SAExtractor(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=cost,
-                schedule=AnnealingSchedule(num_iterations=iterations),
-                moves_per_iteration=moves,
-                seed=seed,
-                seed_solution=circuit.original_extraction(),
-                initial="seed",
-            ).run()
-            extraction = result.extraction
-            record: Dict[str, object] = {
-                "wall_time": time.perf_counter() - start,
-                "cost": result.cost,
-                "initial_cost": result.initial_cost,
-                "moves": iterations * moves,
-                "accepted": result.accepted_moves,
-                "evals": iterations * moves,
-                "mean_cone": float(circuit.egraph.num_classes),
-            }
-        else:
-            config = PortfolioConfig(
-                chains=1 if variant == "delta" else chains,
-                move_budget=move_budget,
-                migrate_every=migrate_every,
-                seed=seed,
-                evaluator="delta",
-                workers=0 if variant == "delta" else None,
-            )
-            result = portfolio_extract(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=cost,
-                config=config,
-                seed_solution=circuit.original_extraction(),
-            )
-            extraction = result.extraction
-            profile = result.profile
-            record = {
-                "wall_time": time.perf_counter() - start,
-                "cost": result.cost,
-                "initial_cost": profile.initial_cost,
-                "moves": profile.total_moves,
-                "accepted": profile.total_accepted,
-                "evals": profile.total_evals,
-                "mean_cone": profile.mean_cone(),
-                "chains": profile.num_chains,
-                "migrations": len(profile.migrations),
-            }
+        config = PortfolioConfig(
+            chains=1 if variant == "delta" else chains,
+            move_budget=move_budget,
+            migrate_every=migrate_every,
+            seed=seed,
+            workers=0 if variant == "delta" else None,
+        )
+        result = portfolio_extract(
+            circuit.egraph,
+            circuit.output_classes,
+            cost=cost,
+            config=config,
+            seed_solution=circuit.original_extraction(),
+        )
+        profile = result.profile
+        record: Dict[str, object] = {
+            "wall_time": time.perf_counter() - start,
+            "cost": result.cost,
+            "initial_cost": profile.initial_cost,
+            "moves": profile.total_moves,
+            "accepted": profile.total_accepted,
+            "evals": profile.total_evals,
+            "mean_cone": profile.mean_cone(),
+            "chains": profile.num_chains,
+            "migrations": len(profile.migrations),
+        }
     record["span_summary"] = span_summary(tracer)
     if check_cec:
         from repro.verify.cec import check_equivalence
 
-        extracted = extraction_to_aig(circuit, extraction, name=f"{aig.name}_ext").strash()
+        extracted = extraction_to_aig(circuit, result.extraction, name=f"{aig.name}_ext").strash()
         cec = check_equivalence(aig, extracted, conflict_budget=conflict_budget)
         record["extraction_cec"] = cec.status
         record["extraction_ands"] = extracted.stats()["ands"]
@@ -176,7 +146,6 @@ def run_extraction_bench(
         },
         "circuits": {},
     }
-    speedups: Dict[str, List[float]] = {name: [] for name in VARIANT_NAMES if name != "legacy"}
     for name in names:
         aig = epfl.build(name, preset=preset)
         if progress:
@@ -207,22 +176,7 @@ def run_extraction_bench(
                 check_cec=check_cec,
                 conflict_budget=conflict_budget,
             )
-        legacy_wall = entry["runs"]["legacy"]["wall_time"]
-        entry["speedup"] = {}
-        for variant in VARIANT_NAMES:
-            if variant == "legacy":
-                continue
-            wall = entry["runs"][variant]["wall_time"]
-            ratio = legacy_wall / wall if wall > 0 else float("inf")
-            entry["speedup"][variant] = ratio
-            speedups[variant].append(ratio)
         payload["circuits"][name] = entry
-    payload["summary"] = {
-        "geomean_speedup": {
-            variant: math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else 0.0
-            for variant, ratios in speedups.items()
-        }
-    }
     return payload
 
 
@@ -233,19 +187,13 @@ def render_bench(payload: Dict[str, object]) -> str:
         f"extraction bench (preset={payload['preset']}, moves={limits['move_budget']}, "
         f"chains={limits['chains']}, migrate_every={limits['migrate_every']})",
         f"{'circuit':12s} {'variant':10s} {'wall (s)':>9s} {'cost':>8s} {'accepted':>9s} "
-        f"{'cone':>9s} {'cec':>12s} {'speedup':>8s}",
+        f"{'cone':>9s} {'cec':>12s}",
     ]
     for name, entry in payload["circuits"].items():
         for variant, run in entry["runs"].items():
-            speedup = entry.get("speedup", {}).get(variant)
-            speedup_text = f"{speedup:7.2f}x" if speedup is not None else f"{'':>8s}"
             lines.append(
                 f"{name:12s} {variant:10s} {run['wall_time']:9.2f} {run['cost']:8.1f} "
                 f"{run['accepted']:4d}/{run['moves']:<4d} {run['mean_cone']:9.1f} "
-                f"{run.get('extraction_cec', '-'):>12s} {speedup_text}"
+                f"{run.get('extraction_cec', '-'):>12s}"
             )
-    geomeans = payload.get("summary", {}).get("geomean_speedup", {})
-    if geomeans:
-        rendered = ", ".join(f"{k} {v:.2f}x" for k, v in geomeans.items())
-        lines.append(f"geomean speedup vs legacy: {rendered}")
     return "\n".join(lines)

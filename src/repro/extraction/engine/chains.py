@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
-from repro.extraction.engine.delta import choice_cost, make_evaluator
+from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.problem import Choice, FrozenProblem
 from repro.extraction.engine.telemetry import ChainProfile
 from repro.obs import trace as obs
@@ -54,7 +54,6 @@ class ChainState:
 
     spec: ChainSpec
     seed: int
-    evaluator: str
     choice: Choice
     current_cost: float
     best_choice: Choice
@@ -70,7 +69,6 @@ def init_chain(
     spec: ChainSpec,
     seed: int,
     chain_id: int = 0,
-    evaluator: str = "delta",
     seed_choice: Optional[Choice] = None,
     greedy: Optional[Choice] = None,
 ) -> ChainState:
@@ -98,7 +96,6 @@ def init_chain(
         chain_id=chain_id,
         kind=spec.kind,
         seed=seed,
-        evaluator=evaluator,
         initial_cost=cost,
         best_cost=cost,
         final_cost=cost,
@@ -107,7 +104,6 @@ def init_chain(
     return ChainState(
         spec=spec,
         seed=seed,
-        evaluator=evaluator,
         choice=choice,
         current_cost=cost,
         best_choice=dict(choice),
@@ -160,7 +156,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         order = problem.toposort(state.choice)
         safe = problem.flip_candidates(order)
         flippable = _flippable(problem, state.choice, safe)
-        evaluator = make_evaluator(state.evaluator, problem, state.choice, order=order)
+        evaluator = DeltaCostEvaluator(problem, state.choice, order=order)
         current = evaluator.cost
 
         best_choice = state.best_choice
@@ -211,7 +207,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
                 safe = problem.flip_candidates(order)
                 flippable = _flippable(problem, fresh, safe)
                 evals, touched = evaluator.evals, evaluator.touched
-                evaluator = make_evaluator(state.evaluator, problem, fresh, order=order)
+                evaluator = DeltaCostEvaluator(problem, fresh, order=order)
                 evaluator.evals, evaluator.touched = evals, touched
                 current = evaluator.cost
                 if current < best_cost:
@@ -246,7 +242,6 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
     return ChainState(
         spec=spec,
         seed=state.seed,
-        evaluator=state.evaluator,
         choice=dict(evaluator.choice),
         current_cost=current,
         best_choice=best_choice,
@@ -272,7 +267,6 @@ def adopt_solution(state: ChainState, choice: Choice, cost: float) -> ChainState
     return ChainState(
         spec=state.spec,
         seed=state.seed,
-        evaluator=state.evaluator,
         choice=dict(choice),
         current_cost=cost,
         best_choice=best_choice,

@@ -1,28 +1,24 @@
 """Delta-cost evaluation: incremental extraction cost under single-class flips.
 
-The legacy SA loop pays O(e-graph) per move twice over — a full bottom-up
-neighbour sweep plus a from-scratch DAG cost evaluation.  The engine's move
-is a *flip* (one class changes its chosen e-node), and the two evaluators
-here price a flip in two ways:
+The engine's move is a *flip* (one class changes its chosen e-node), and
+:class:`DeltaCostEvaluator` prices it without a whole-graph sweep: it keeps
+the cost decomposition live between moves (reference counts of the
+extracted DAG in ``sum`` mode, per-class depths plus an extraction-parent
+map in ``depth`` mode) so a flip re-evaluates only the ancestor cone of the
+flipped class.  :func:`choice_cost` is the from-scratch cost the chains
+start from.
 
-* :class:`DeltaCostEvaluator` — the engine's default.  It keeps the cost
-  decomposition live between moves (reference counts of the extracted DAG in
-  ``sum`` mode, per-class depths plus an extraction-parent map in ``depth``
-  mode) so a flip re-evaluates only the ancestor cone of the flipped class.
-* :class:`FullCostEvaluator` — the exact-parity reference: same interface,
-  but every flip re-derives the cost from scratch with the same semantics as
-  :func:`repro.extraction.cost.extraction_cost`.
-
-Both evaluate a flip to the *identical* float whenever per-node costs are
-integer-valued (the default ``NodeCountCost``/``DepthCost``), which is what
-the engine's parity tests pin down.  With arbitrary float weights the
+A flip evaluates to the *identical* float a from-scratch re-derivation gives
+whenever per-node costs are integer-valued (the default
+``NodeCountCost``/``DepthCost``); the full re-derivation lives in
+``tests/oracles.py`` as the parity oracle.  With arbitrary float weights the
 ``sum``-mode running total may drift by ulps between round boundaries; the
 portfolio rebuilds evaluator state from the bare choice at every migration
 barrier, so drift never accumulates across rounds.
 
 Flips must stay within :meth:`FrozenProblem.flip_candidates` of the order the
 evaluator was built with — that is what makes acyclicity an invariant and
-lets both evaluators skip per-move cycle checks.
+lets the evaluator skip per-move cycle checks.
 """
 
 from __future__ import annotations
@@ -70,48 +66,7 @@ def choice_cost(problem: FrozenProblem, choice: Choice) -> float:
     return max((memo[r] for r in problem.roots), default=0.0)
 
 
-class CostEvaluator:
-    """Shared evaluator surface: a live choice plus a priced ``flip``.
-
-    ``evals`` counts flips; ``touched`` counts the classes whose cached cost
-    contribution was re-derived (the delta evaluator's cone sizes, or the
-    whole traversal for the full reference) — the telemetry behind the
-    bench's delta-vs-full evaluation ratio.
-    """
-
-    kind = "abstract"
-
-    def __init__(self, problem: FrozenProblem, choice: Choice):
-        self.problem = problem
-        self.choice: Choice = dict(choice)
-        self.cost: float = 0.0
-        self.evals: int = 0
-        self.touched: int = 0
-
-    def flip(self, cid: int, node_idx: int) -> float:
-        """Re-point class ``cid`` at candidate ``node_idx``; returns the new
-        total cost.  Flipping back to the previous index reverts the move."""
-        raise NotImplementedError
-
-
-class FullCostEvaluator(CostEvaluator):
-    """The legacy full-sweep reference: every flip pays a whole re-derivation."""
-
-    kind = "full"
-
-    def __init__(self, problem: FrozenProblem, choice: Choice):
-        super().__init__(problem, choice)
-        self.cost = choice_cost(problem, self.choice)
-
-    def flip(self, cid: int, node_idx: int) -> float:
-        self.choice[cid] = node_idx
-        self.cost = choice_cost(self.problem, self.choice)
-        self.evals += 1
-        self.touched += self.problem.num_classes
-        return self.cost
-
-
-class DeltaCostEvaluator(CostEvaluator):
+class DeltaCostEvaluator:
     """Incremental evaluator: a flip touches only the flipped class's cone.
 
     ``sum`` mode maintains reference counts over the root-reachable extracted
@@ -120,12 +75,18 @@ class DeltaCostEvaluator(CostEvaluator):
     subgraphs that (dis)appear.  ``depth`` mode maintains per-class depths
     plus an extraction-parent multimap and re-propagates depth changes
     upward in topological order.
+
+    ``evals`` counts flips; ``touched`` counts the classes whose cached cost
+    contribution was re-derived (the cone sizes behind the telemetry's
+    ``mean_cone``).
     """
 
-    kind = "delta"
-
     def __init__(self, problem: FrozenProblem, choice: Choice, order: Optional[Dict[int, int]] = None):
-        super().__init__(problem, choice)
+        self.problem = problem
+        self.choice: Choice = dict(choice)
+        self.cost: float = 0.0
+        self.evals: int = 0
+        self.touched: int = 0
         if problem.mode == "sum":
             self._init_sum()
         else:
@@ -243,23 +204,10 @@ class DeltaCostEvaluator(CostEvaluator):
     # -- dispatch -----------------------------------------------------------
 
     def flip(self, cid: int, node_idx: int) -> float:
+        """Re-point class ``cid`` at candidate ``node_idx``; returns the new
+        total cost.  Flipping back to the previous index reverts the move."""
         self.evals += 1
         if self.problem.mode == "sum":
             return self._flip_sum(cid, node_idx)
         return self._flip_depth(cid, node_idx)
 
-
-EVALUATORS = ("delta", "full")
-
-
-def make_evaluator(
-    kind: str,
-    problem: FrozenProblem,
-    choice: Choice,
-    order: Optional[Dict[int, int]] = None,
-) -> CostEvaluator:
-    if kind == "delta":
-        return DeltaCostEvaluator(problem, choice, order=order)
-    if kind == "full":
-        return FullCostEvaluator(problem, choice)
-    raise ValueError(f"unknown evaluator {kind!r}; choose from {', '.join(EVALUATORS)}")

@@ -31,7 +31,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
 from repro.extraction.engine.chains import ChainSpec, ChainState, adopt_solution, init_chain, run_round
-from repro.extraction.engine.delta import EVALUATORS
 from repro.extraction.engine.problem import FrozenProblem, ProblemStats
 from repro.extraction.engine.telemetry import ExtractionProfile, MigrationEvent
 from repro.obs import resource as obs_resource
@@ -39,7 +38,7 @@ from repro.obs import trace as obs
 from repro.obs.metrics import registry as obs_registry
 
 #: Distinct-prime stride between per-chain seeds.  Documented contract: chain
-#: ``i`` of a portfolio (or of ``parallel_sa_extract``) is seeded with
+#: ``i`` of a portfolio is seeded with
 #: ``chain_seed(base, i)``, so runs are reproducible per (base seed, index)
 #: and chains never share a generator state.
 SEED_STRIDE = 1009
@@ -72,7 +71,6 @@ class PortfolioConfig:
     #: Flips a chain runs between migration barriers.
     migrate_every: int = 32
     seed: int = 7
-    evaluator: str = "delta"  # "delta" | "full"
     #: Worker processes: None = min(chains, cpu_count); <= 1 runs inline
     #: (identical results either way — the pool is throughput, not semantics).
     workers: Optional[int] = None
@@ -85,10 +83,6 @@ class PortfolioConfig:
             raise ValueError("move_budget must be >= 0")
         if self.migrate_every < 1:
             raise ValueError("migrate_every must be >= 1 (rounds must make progress)")
-        if self.evaluator not in EVALUATORS:
-            raise ValueError(
-                f"unknown evaluator {self.evaluator!r}; choose from {', '.join(EVALUATORS)}"
-            )
 
     def spec_for(self, index: int) -> ChainSpec:
         return self.chain_specs[index % len(self.chain_specs)]
@@ -190,7 +184,6 @@ def portfolio_extract(
         category="extraction",
         chains=config.chains,
         move_budget=config.move_budget,
-        evaluator=config.evaluator,
     )
     with portfolio_span:
         problem = FrozenProblem.build(egraph, roots, cost)
@@ -207,7 +200,6 @@ def portfolio_extract(
                     spec,
                     chain_seed(config.seed, i),
                     chain_id=i,
-                    evaluator=config.evaluator,
                     seed_choice=seed_choice,
                     greedy=greedy,
                 )
@@ -302,8 +294,6 @@ def portfolio_extract(
     best_chain = ranked[0]
 
     profile = ExtractionProfile(
-        engine="portfolio",
-        evaluator=config.evaluator,
         chains=[s.profile for s in states],
         migrations=migrations,
         move_budget=config.move_budget,

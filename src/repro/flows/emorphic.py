@@ -39,9 +39,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 
 #: ``EmorphicConfig`` fields of older payloads that no longer exist: the
-#: e-matcher choice (``matcher``, ``use_op_index``) left when the batched
-#: matcher became the only one.
-RETIRED_FIELDS = ("matcher", "use_op_index")
+#: e-matcher choice left when the batched matcher became the only one, and
+#: the extraction-engine choice with the knobs only the full-sweep SA loop
+#: read left when the portfolio became the only extractor.
+RETIRED_FIELDS = (
+    "matcher",
+    "use_op_index",
+    "extraction_engine",
+    "p_random",
+    "initial_temperature",
+    "pruned",
+)
 
 
 @dataclass
@@ -58,18 +66,12 @@ class EmorphicConfig:
     #: growing windows; "simple" searches every rule every iteration.
     scheduler: str = "backoff"
     dedup_matches: bool = True
-    # Extraction.
-    #: "portfolio" = island-parallel delta-cost engine (chains guided by the
-    #: structural cost, QoR model re-scores each chain's best); "legacy" =
-    #: the original per-move full-sweep SA loop.
-    extraction_engine: str = "portfolio"
-    num_threads: int = 4  # portfolio chains / legacy SA threads
-    migrate_every: int = 8  # portfolio: moves between best-solution migrations
+    # Extraction: the island-parallel delta-cost portfolio (chains guided by
+    # the structural cost; every chain's best is mapped and the best kept).
+    num_threads: int = 4  # portfolio chains
+    migrate_every: int = 8  # moves between best-solution migrations
     sa_iterations: int = 4
-    initial_temperature: float = 2000.0
     moves_per_iteration: int = 4
-    p_random: float = 0.1
-    pruned: bool = True
     seed: int = 7  # base seed of the chains (chain i runs chain_seed(seed, i))
     extraction_cost: str = "depth"  # guiding cost inside Algorithm 1
     # Cost model.
@@ -118,9 +120,9 @@ class EmorphicConfig:
     def from_dict(cls, data: Dict[str, object]) -> "EmorphicConfig":
         """Rebuild a config from its ``to_dict`` payload.
 
-        The retired matcher knobs of older payloads (:data:`RETIRED_FIELDS`)
-        are dropped, so stored results written before the batched matcher
-        became the only one still load.
+        The retired knobs of older payloads (:data:`RETIRED_FIELDS`) are
+        dropped, so stored results written before the batched matcher and
+        the portfolio became the only engines still load.
         """
         data = {key: value for key, value in data.items() if key not in RETIRED_FIELDS}
         baseline = data.pop("baseline", None)
@@ -241,17 +243,13 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
             "extract",
             {
                 "method": "sa",
-                "engine": config.extraction_engine,
                 # The runtime-prioritized (ML) mode runs two extra chains.
                 "threads": config.num_threads + (2 if config.use_ml_model else 0),
                 "migrate_every": config.migrate_every,
                 "iters": config.sa_iterations,
                 "moves": config.moves_per_iteration,
-                "p_random": config.p_random,
-                "temperature": config.initial_temperature,
                 "seed": config.seed,
                 "cost": config.extraction_cost if config.extraction_cost == "depth" else "nodes",
-                "pruned": config.pruned,
                 "use_ml": config.use_ml_model,
             },
             phase="extraction",

@@ -1,8 +1,8 @@
 """Process-parallel campaign execution with cache short-circuiting.
 
-Whole-circuit jobs are the right granularity for process parallelism: the
-per-chain threads inside ``extraction/parallel.py`` share the GIL, while a
-campaign's jobs are fully independent.  The executor
+Whole-circuit jobs are the right granularity for process parallelism: a
+flow runs its extraction chains inline by default, while a campaign's jobs
+are fully independent.  The executor
 
 * skips jobs whose key is already in the :class:`ResultStore` (``cached``),
 * runs the rest in a ``ProcessPoolExecutor`` (serial fallback for one

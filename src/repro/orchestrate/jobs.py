@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    scheduler/use_op_index/dedup_matches, and result payloads embed the
 #:    full SaturationProfile under "saturation".
 #: 4: extraction runs on the island-parallel portfolio engine by default —
-#:    EmorphicConfig carries extraction_engine/migrate_every, and result
+#:    EmorphicConfig carries the engine choice and migrate_every, and result
 #:    payloads embed the ExtractionProfile under "extraction".
 #: 5: pipeline results embed the PartitionProfile under "partition" when a
 #:    script runs the partition/stitch passes.
@@ -59,7 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    ``index=``/``matcher=``, so script text and job hashes change), and
 #:    SaturationProfile payloads drop ``matcher``/``indexed`` and carry
 #:    per-rule ``trie_visits``.
-SCHEMA_VERSION = 9
+#: 10: the portfolio is the only extractor — EmorphicConfig fields are
+#:    retired (the engine choice, ``p_random``, ``initial_temperature``,
+#:    ``pruned``; the canonical ``extract`` step loses ``engine=``,
+#:    ``p_random=``, ``temperature=``, ``pruned=`` and ``chains=``), so job
+#:    hashes change, and ExtractionProfile/ChainProfile payloads drop the
+#:    constant ``engine``/``evaluator`` fields.
+SCHEMA_VERSION = 10
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 

@@ -61,7 +61,7 @@ class FlowContext:
     pre_aig: Optional[Aig] = None
     mapping: Optional[MappingResult] = None
     rewrite_report: Optional[RunnerReport] = None
-    #: Extraction-engine telemetry; set by ``extract(sa, engine=portfolio)``.
+    #: Extraction-engine telemetry; set by ``extract(sa)``.
     extraction_profile: Optional[object] = None
     #: Pending partition plan; set by ``partition``, consumed by ``stitch``.
     #: While it is live, ``saturate``/``extract`` stage parameters into it

@@ -20,6 +20,9 @@
   :func:`remap_cut` and :class:`MintermLibrary` are the per-minterm
   truth-table loops that the bit-parallel kernel (``repro.opt.truth``)
   replaced in the cut layer, the mapper and the cell library.
+* :class:`FullCostEvaluator` prices every extraction flip by re-deriving the
+  whole cost from scratch (``choice_cost``); it pins the delta-cost
+  evaluator (``repro.extraction.engine.delta``) move by move.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from repro.egraph.language import VAR
 from repro.egraph.pattern import MAX_SUBSTITUTIONS_PER_NODE, Match, Pattern, PatternNode, Substitution
 from repro.engine.batched import class_views
 from repro.engine.engine import SaturationEngine
+from repro.extraction.engine.delta import choice_cost
+from repro.extraction.engine.problem import Choice, FrozenProblem
 from repro.mapping.choices import ChoiceClasses
 from repro.mapping.library import Gate, GateMatch, Library
 from repro.opt.cuts import Cut
@@ -391,3 +396,26 @@ class MintermLibrary(Library):
                     existing = self._match_table.get(key)
                     if existing is None or self._match_rank(match) < self._match_rank(existing):
                         self._match_table[key] = match
+
+
+class FullCostEvaluator:
+    """The full-sweep extraction evaluator: every flip re-derives the cost.
+
+    Same surface as ``DeltaCostEvaluator`` (``choice``, ``cost``, ``evals``,
+    ``touched``, ``flip``); ``order`` is accepted and ignored, so the class
+    can stand in for the delta evaluator inside ``run_round``.
+    """
+
+    def __init__(self, problem: FrozenProblem, choice: Choice, order: Optional[Dict[int, int]] = None):
+        self.problem = problem
+        self.choice: Choice = dict(choice)
+        self.cost = choice_cost(problem, self.choice)
+        self.evals = 0
+        self.touched = 0
+
+    def flip(self, cid: int, node_idx: int) -> float:
+        self.choice[cid] = node_idx
+        self.cost = choice_cost(self.problem, self.choice)
+        self.evals += 1
+        self.touched += self.problem.num_classes
+        return self.cost

@@ -41,7 +41,8 @@ from repro.engine import (
     compile_pattern,
     priorities_from_attribution,
 )
-from repro.flows.emorphic import EmorphicConfig
+from repro.extraction.engine import ExtractionProfile
+from repro.flows.emorphic import RETIRED_FIELDS, EmorphicConfig
 from repro.pipeline import Pipeline, PipelineError
 from oracles import PerPatternEngine, search
 
@@ -405,8 +406,23 @@ class TestWiring:
     def test_schema8_store_record_still_loads(self):
         record = json.loads((FIXTURES / "store_record_v8.json").read_text())
         assert record["schema"] == 8
-        config = EmorphicConfig.from_dict(record["job"]["config"])
-        assert config.rewrite_iterations == record["job"]["config"]["rewrite_iterations"]
+        stored_config = record["job"]["config"]
+        # The fixture carries every retired field: the matcher knobs and the
+        # extraction-engine choice with the full-sweep SA loop's knobs.
+        assert set(RETIRED_FIELDS) <= set(stored_config)
+        config = EmorphicConfig.from_dict(stored_config)
+        assert config.rewrite_iterations == stored_config["rewrite_iterations"]
+        assert not set(RETIRED_FIELDS) & set(config.to_dict())
+        extraction = record["result"]["extraction"]
+        assert extraction["engine"] == "portfolio" and extraction["evaluator"] == "delta"
+        extraction_profile = ExtractionProfile.from_dict(extraction)
+        assert extraction_profile.best_cost == extraction["best_cost"]
+        assert extraction_profile.total_moves == extraction["total_moves"]
+        assert [chain.seed for chain in extraction_profile.chains] == [
+            chain["seed"] for chain in extraction["chains"]
+        ]
+        assert "engine" not in extraction_profile.to_dict()
+        assert all("evaluator" not in chain.to_dict() for chain in extraction_profile.chains)
         saturation = record["result"]["saturation"]
         assert saturation["matcher"] == "indexed"
         profile = SaturationProfile.from_dict(saturation)

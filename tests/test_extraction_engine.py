@@ -19,19 +19,21 @@ from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
 from repro.extraction.engine import (
     ChainSpec,
+    DeltaCostEvaluator,
     ExtractionProfile,
     FrozenProblem,
     PortfolioConfig,
     chain_seed,
     choice_cost,
     init_chain,
-    make_evaluator,
     portfolio_extract,
     run_round,
 )
+from repro.extraction.engine import chains as engine_chains
 from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
 from repro.extraction.greedy import greedy_extract
-from repro.extraction.parallel import ParallelSAConfig, parallel_sa_extract
+
+from oracles import FullCostEvaluator
 
 
 @pytest.fixture(scope="module")
@@ -123,20 +125,21 @@ class TestFrozenProblem:
 class TestDeltaFullParity:
     @pytest.mark.parametrize("cost_cls", [NodeCountCost, DepthCost])
     @pytest.mark.parametrize("circuit_seed", [1, 2, 3])
-    def test_identical_trajectories_on_random_circuits(self, cost_cls, circuit_seed):
-        """The tentpole parity contract: the delta-cost engine, the legacy
-        full-sweep reference, and the portfolio with one chain return the
-        identical cost and extraction for identical seeds."""
+    def test_identical_trajectories_on_random_circuits(self, cost_cls, circuit_seed, monkeypatch):
+        """The parity contract: a one-chain portfolio returns the identical
+        cost, extraction and best-cost curve whether its flips are priced by
+        the delta evaluator or by the full re-derivation oracle."""
         _, circuit = _random_saturated(circuit_seed)
+        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11, workers=0)
         results = {}
-        for evaluator in ("delta", "full"):
-            results[evaluator] = portfolio_extract(
+        for name, evaluator in (("delta", DeltaCostEvaluator), ("full", FullCostEvaluator)):
+            # Inline rounds (workers=0) see the patched module attribute.
+            monkeypatch.setattr(engine_chains, "DeltaCostEvaluator", evaluator)
+            results[name] = portfolio_extract(
                 circuit.egraph,
                 circuit.output_classes,
                 cost=cost_cls(),
-                config=PortfolioConfig(
-                    chains=1, move_budget=96, migrate_every=24, seed=11, evaluator=evaluator, workers=0
-                ),
+                config=config,
                 seed_solution=circuit.original_extraction(),
             )
         assert results["delta"].cost == results["full"].cost
@@ -144,6 +147,9 @@ class TestDeltaFullParity:
         delta_curve = results["delta"].profile.chains[0].best_curve
         full_curve = results["full"].profile.chains[0].best_curve
         assert delta_curve == full_curve
+        # The oracle really priced the second run: it pays every class per flip.
+        full_chain = results["full"].profile.chains[0]
+        assert full_chain.classes_touched == full_chain.evals * circuit.egraph.num_classes
 
     def test_flip_values_agree_move_by_move(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -153,8 +159,8 @@ class TestDeltaFullParity:
             order = problem.toposort(choice)
             safe = problem.flip_candidates(order)
             flippable = [cid for cid in sorted(safe) if len(safe[cid]) > 1]
-            delta = make_evaluator("delta", problem, choice, order=order)
-            full = make_evaluator("full", problem, choice)
+            delta = DeltaCostEvaluator(problem, choice, order=order)
+            full = FullCostEvaluator(problem, choice)
             assert delta.cost == full.cost
             rng = random.Random(5)
             for _ in range(60):
@@ -172,6 +178,27 @@ class TestDeltaFullParity:
         )
         # A delta move touches a cone, not the whole class set.
         assert 0 < result.profile.mean_cone() < circuit.egraph.num_classes / 4
+
+
+class TestGreedyDepthFloor:
+    @pytest.mark.parametrize("circuit_seed", [1, 2, 3])
+    def test_search_cannot_beat_greedy_depth(self, circuit_seed):
+        """Under ``cost=depth`` the greedy choice is the exact per-class
+        minimum depth, so no chain — whatever its start or schedule — ends
+        below it; search only adds equal-depth candidates."""
+        _, circuit = _random_saturated(circuit_seed)
+        cost = DepthCost()
+        result = portfolio_extract(
+            circuit.egraph,
+            circuit.output_classes,
+            cost=cost,
+            config=PortfolioConfig(chains=4, move_budget=192, migrate_every=16, seed=11, workers=0),
+            seed_solution=circuit.original_extraction(),
+        )
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
+        greedy_cost = choice_cost(problem, problem.greedy_choice())
+        assert result.cost == greedy_cost
+        assert all(chain.best_cost >= greedy_cost for chain in result.profile.chains)
 
 
 class TestPortfolio:
@@ -291,10 +318,7 @@ class TestPortfolio:
         config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21, workers=0)
         result = portfolio_extract(circuit.egraph, circuit.output_classes, cost=cost, config=config)
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
-        state = init_chain(
-            problem, config.spec_for(0), chain_seed(21, 0), evaluator="delta",
-            greedy=problem.greedy_choice(),
-        )
+        state = init_chain(problem, config.spec_for(0), chain_seed(21, 0), greedy=problem.greedy_choice())
         for _ in range(3):
             state = run_round(problem, state, 8)
         assert state.best_cost == result.cost
@@ -302,18 +326,6 @@ class TestPortfolio:
 
 
 class TestParallelSASeeding:
-    def test_parallel_sa_deterministic_best(self, saturated_circuit):
-        _, circuit = saturated_circuit
-        config = ParallelSAConfig(num_threads=3, moves_per_iteration=2, seed=17)
-        runs = [
-            parallel_sa_extract(
-                circuit.egraph, circuit.output_classes, NodeCountCost(), config=config
-            )
-            for _ in range(2)
-        ]
-        assert runs[0][0].cost == runs[1][0].cost
-        assert runs[0][0].extraction == runs[1][0].extraction
-
     def test_chain_seed_derivation(self):
         assert chain_seed(7, 0) == 7
         assert chain_seed(7, 1) != chain_seed(7, 0)
@@ -328,8 +340,6 @@ class TestConfigValidation:
             PortfolioConfig(move_budget=-1)
         with pytest.raises(ValueError, match="chain"):
             PortfolioConfig(chains=0)
-        with pytest.raises(ValueError, match="evaluator"):
-            PortfolioConfig(evaluator="magic")
 
 
 class TestTelemetry:
@@ -375,12 +385,11 @@ class TestExtractionBench:
             check_cec=True,
         )
         entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"legacy", "delta", "portfolio"}
+        assert set(entry["runs"]) == {"delta", "portfolio"}
         for run in entry["runs"].values():
             assert run["wall_time"] > 0
             assert run["extraction_cec"] == "equivalent"
-        assert set(entry["speedup"]) == {"delta", "portfolio"}
-        assert "geomean_speedup" in payload["summary"]
+        assert "speedup" not in entry and "summary" not in payload
         assert "adder" in render_bench(payload)
 
     def test_check_regressions_gate(self):

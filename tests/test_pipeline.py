@@ -58,6 +58,14 @@ class TestScriptParsing:
         with pytest.raises(PipelineError, match="no parameter 'bogus'"):
             parse_script("saturate(bogus=1)")
 
+    def test_pipeline_rejects_retired_extract_params(self):
+        # The portfolio is the only extractor: the engine choice and the
+        # knobs only the full-sweep SA loop read are gone from the DSL.
+        accepted = "accepted: cost, iters, method, migrate_every, moves, seed, threads, use_ml, workers"
+        for retired in ("engine=legacy", "p_random=0.1", "temperature=2000", "pruned=true", "chains=2"):
+            with pytest.raises(PipelineError, match=accepted):
+                Pipeline.from_script(f"strash; dag2eg; extract({retired})")
+
     def test_excess_positional_rejected(self):
         with pytest.raises(PipelineError, match="positional"):
             parse_script("extract(sa, greedy)")
@@ -102,8 +110,11 @@ class TestPipelineSerialization:
         assert Pipeline.from_script("dag2eg; extract(sa)") == Pipeline.from_script("dag2eg; extract")
 
     def test_numeric_types_normalize_to_the_default_type(self):
-        a = Pipeline.from_script("dag2eg; extract(temperature=2000)")
-        b = Pipeline.from_script("dag2eg; extract(temperature=2000.0)")
+        a = Pipeline.from_script("saturate(time_limit=30)")
+        b = Pipeline.from_script("saturate(time_limit=30.0)")
+        assert a == b and a.to_spec() == b.to_spec()
+        a = Pipeline.from_script("saturate(time_limit=12)")
+        b = Pipeline.from_script("saturate(time_limit=12.0)")
         assert a == b and a.to_spec() == b.to_spec()
         assert Pipeline.from_script("saturate(iters=2.0)") == Pipeline.from_script("saturate(iters=2)")
 
@@ -279,7 +290,7 @@ class TestPipelineJobs:
         job_b = make_pipeline_job(
             "adder",
             "st ; sopb() ;dag2eg; saturate( iters = 2, max_nodes=4000 ); "
-            "extract(method=sa, threads=1, iters=1, moves=1, temperature=2000); map",
+            "extract(method=sa, threads=1, iters=1, moves=1); map",
             preset="test",
         )
         assert job_a.job_hash() == job_b.job_hash()
