@@ -20,7 +20,7 @@ import pytest
 from repro.benchgen import epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
-from repro.egraph.runner import Runner, RunnerLimits
+from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
@@ -37,8 +37,12 @@ CIRCUIT = "sqrt"
 def _saturated_circuit(iterations: int = 3, max_nodes: int = 15_000):
     aig = epfl.build(CIRCUIT, preset=bench_preset())
     circuit = aig_to_egraph(aig)
-    report = Runner(
-        circuit.egraph, boolean_rules(), RunnerLimits(max_iterations=iterations, max_nodes=max_nodes, time_limit=20.0)
+    report = SaturationEngine(
+        circuit.egraph,
+        boolean_rules(),
+        EngineLimits(max_iterations=iterations, max_nodes=max_nodes, time_limit=20.0),
+        scheduler="simple",
+        dedup_matches=False,
     ).run()
     return circuit, report
 

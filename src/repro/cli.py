@@ -15,15 +15,6 @@ Subcommands:
   nodes that survived into the final circuit), with ``--provenance FILE``
   exporting the derivation log as DOT/JSON;
 * ``scripts``   — list the registered passes and named optimization scripts;
-* ``saturate-bench`` — benchmark the saturation engine (legacy schedule vs
-  backoff-scheduled with dedup) and write ``BENCH_saturation.json``,
-  optionally failing on regression against a checked-in reference;
-* ``extract-bench`` — benchmark the extraction engine (one delta-cost chain
-  vs the island portfolio, CEC-guarded) and write
-  ``BENCH_extraction.json``, with the same ``--reference`` regression gate;
-* ``partition-bench`` — benchmark partition-and-conquer against monolithic
-  saturation at equal limits (the partitioned run completes where the
-  monolithic engine trips its caps) and write ``BENCH_partition.json``;
 * ``list``      — list available benchmark circuits with per-preset
   PI/PO/AND/level statistics;
 * ``batch``     — run a whole campaign (circuits x flows, or circuits x a
@@ -33,7 +24,8 @@ Subcommands:
   *shapes* with repeated ``--script`` options;
 * ``cache``     — inspect or clear the persistent result store;
 * ``history``   — query the persistent run ledger (every run/pipeline/batch/
-  sweep/bench invocation appends its QoR and runtime), comparing each
+  sweep invocation appends its QoR and runtime; older ledgers also hold
+  ``bench`` records), comparing each
   (circuit, script, config) group's latest run against a rolling median
   baseline; ``--check`` exits non-zero on regression (the CI gate);
 * ``report``    — render the run-ledger history as a static HTML report
@@ -612,134 +604,6 @@ def cmd_scripts(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# Engine benchmarking (saturation / extraction).
-
-
-def _validated_circuits(text: Optional[str]) -> Optional[List[str]]:
-    """Split a --circuits option and reject unknown benchmark names."""
-    if not text:
-        return None
-    circuits = [name.strip() for name in text.split(",") if name.strip()]
-    available = set(epfl.available_circuits())
-    unknown = [name for name in circuits if name not in available]
-    if unknown:
-        raise SystemExit(f"unknown circuits: {', '.join(unknown)}")
-    return circuits
-
-
-def _bench_ledger_record(name: str, payload: Dict[str, object]) -> Dict[str, object]:
-    """One ledger record summarizing a bench invocation (kind ``"bench"``).
-
-    The record carries the summed per-run wall-clock as its runtime plus the
-    payload's summary block; the regression gate against checked-in bench
-    references is unchanged — this only adds the bench to the run history.
-    """
-    from repro.obs import flow_record
-
-    circuits = payload.get("circuits") or {}
-    wall, have = 0.0, False
-    for entry in circuits.values():
-        for run in (entry.get("runs") or {}).values():
-            if isinstance(run, dict) and "wall_time" in run:
-                wall += float(run["wall_time"])
-                have = True
-    return flow_record(
-        "bench",
-        script=name,
-        config={"script": name, "limits": payload.get("limits"), "fast": payload.get("fast")},
-        runtime=wall if have else None,
-        extra={"bench": name, "summary": payload.get("summary"), "circuits": sorted(circuits)},
-    )
-
-
-def _bench_epilogue(payload: Dict[str, object], args: argparse.Namespace, name: str) -> int:
-    """Shared bench tail: ledger append + --json dump + --reference gate."""
-    from repro.engine.bench import check_regressions
-
-    _ledger_append(args, _bench_ledger_record(name, payload))
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        _LOG.info(f"bench written to {args.json}")
-    if args.reference:
-        with open(args.reference) as handle:
-            reference = json.load(handle)
-        failures = check_regressions(payload, reference, max_ratio=args.max_regression)
-        if failures:
-            print(f"PERF REGRESSION vs {args.reference}:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"no regression vs {args.reference} (threshold {args.max_regression:.1f}x)")
-    return 0
-
-
-def cmd_saturate_bench(args: argparse.Namespace) -> int:
-    from repro.engine.bench import render_bench, run_saturation_bench
-
-    payload = run_saturation_bench(
-        circuits=_validated_circuits(args.circuits),
-        preset=args.preset,
-        fast=args.fast,
-        iters=args.iters,
-        max_nodes=args.max_nodes,
-        time_limit=args.time_limit,
-        check_cec=not args.no_cec,
-        progress=(lambda message: _LOG.info(f"  {message}")),
-    )
-    print(render_bench(payload))
-    return _bench_epilogue(payload, args, "saturate-bench")
-
-
-def cmd_extract_bench(args: argparse.Namespace) -> int:
-    from repro.extraction.engine.bench import render_bench, run_extraction_bench
-
-    payload = run_extraction_bench(
-        circuits=_validated_circuits(args.circuits),
-        preset=args.preset,
-        fast=args.fast,
-        move_budget=args.moves,
-        chains=args.chains,
-        migrate_every=args.migrate_every,
-        seed=args.seed,
-        saturate_iters=args.saturate_iters,
-        max_nodes=args.max_nodes,
-        check_cec=not args.no_cec,
-        progress=(lambda message: _LOG.info(f"  {message}")),
-    )
-    print(render_bench(payload))
-    return _bench_epilogue(payload, args, "extract-bench")
-
-
-def cmd_partition_bench(args: argparse.Namespace) -> int:
-    from repro.partition.bench import check_completions, render_bench, run_partition_bench
-
-    with _maybe_trace(args):
-        payload = run_partition_bench(
-            circuits=_validated_circuits(args.circuits),
-            preset=args.preset,
-            fast=args.fast,
-            k=args.k,
-            method=args.method,
-            seed=args.seed,
-            workers=args.workers,
-            iters=args.iters,
-            max_nodes=args.max_nodes,
-            budget=args.budget,
-            progress=(lambda message: _LOG.info(f"  {message}")),
-        )
-    print(render_bench(payload))
-    completions = check_completions(payload)
-    status = _bench_epilogue(payload, args, "partition-bench")
-    if completions:
-        print("PARTITION BENCH GATE FAILED:")
-        for failure in completions:
-            print(f"  {failure}")
-        return 1
-    return status
-
-
-# --------------------------------------------------------------------------
 # Campaign orchestration (batch / sweep / cache).
 
 
@@ -1207,140 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the path of the pipeline-script grammar reference (docs/dsl.md)",
     )
     p_scripts.set_defaults(func=cmd_scripts)
-
-    p_bench = sub.add_parser(
-        "saturate-bench",
-        help="benchmark the saturation engine (legacy vs indexed vs backoff vs batched) "
-        "and write BENCH_saturation.json",
-    )
-    p_bench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: the largest benchgen circuits)",
-    )
-    p_bench.add_argument(
-        "--preset", default="bench", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_bench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: test-preset circuits, 3 iterations, small node budget",
-    )
-    p_bench.add_argument("--iters", type=int, default=None, help="saturation iterations per run")
-    p_bench.add_argument("--max-nodes", type=int, default=None, help="node cap per run")
-    p_bench.add_argument("--time-limit", type=float, default=None, help="per-run time limit (s)")
-    p_bench.add_argument("--no-cec", action="store_true", help="skip the extraction equivalence check")
-    p_bench.add_argument(
-        "--json", default="BENCH_saturation.json", help="write the payload to this file ('' to skip)"
-    )
-    p_bench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_ledger_args(p_bench)
-    p_bench.set_defaults(func=cmd_saturate_bench)
-
-    p_ebench = sub.add_parser(
-        "extract-bench",
-        help="benchmark the extraction engine (one delta chain vs the portfolio) and "
-        "write BENCH_extraction.json",
-    )
-    p_ebench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: the largest benchgen circuits)",
-    )
-    p_ebench.add_argument(
-        "--preset", default="bench", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_ebench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: test-preset circuits, small saturation and move budgets",
-    )
-    p_ebench.add_argument("--moves", type=int, default=None, help="total move budget per variant")
-    p_ebench.add_argument("--chains", type=int, default=4, help="portfolio chains")
-    p_ebench.add_argument("--migrate-every", type=int, default=None, help="moves between migrations")
-    p_ebench.add_argument("--seed", type=int, default=7, help="base seed")
-    p_ebench.add_argument("--saturate-iters", type=int, default=None, help="saturation iterations before extraction")
-    p_ebench.add_argument("--max-nodes", type=int, default=None, help="saturation node cap")
-    p_ebench.add_argument("--no-cec", action="store_true", help="skip the extraction equivalence check")
-    p_ebench.add_argument(
-        "--json", default="BENCH_extraction.json", help="write the payload to this file ('' to skip)"
-    )
-    p_ebench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_ebench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_ledger_args(p_ebench)
-    p_ebench.set_defaults(func=cmd_extract_bench)
-
-    p_pbench = sub.add_parser(
-        "partition-bench",
-        help="benchmark partition-and-conquer vs monolithic saturation at equal "
-        "limits and write BENCH_partition.json",
-    )
-    p_pbench.add_argument(
-        "--circuits",
-        default=None,
-        help="comma-separated benchmark names (default: large-preset log2,sin)",
-    )
-    p_pbench.add_argument(
-        "--preset", default="large", choices=list(epfl.PRESETS), help="benchmark size preset"
-    )
-    p_pbench.add_argument(
-        "--fast",
-        action="store_true",
-        help="CI profile: one test-preset circuit, tiny windows, node cap sized so "
-        "the monolithic run deterministically fails where the windows complete",
-    )
-    p_pbench.add_argument("--k", type=int, default=None, help="window capacity (AND nodes)")
-    p_pbench.add_argument(
-        "--method",
-        default="cone",
-        choices=["cone", "window"],
-        help="partitioning method (fanout-free cones or structural level cuts)",
-    )
-    p_pbench.add_argument("--seed", type=int, default=0, help="decomposition cut-phase seed")
-    p_pbench.add_argument(
-        "--workers", type=int, default=None, help="window worker processes (default: CPU count; 0 = inline)"
-    )
-    p_pbench.add_argument("--iters", type=int, default=None, help="saturation iterations per run")
-    p_pbench.add_argument("--max-nodes", type=int, default=None, help="e-graph node cap per run")
-    p_pbench.add_argument(
-        "--budget", type=float, default=None, help="shared wall-clock budget per circuit (s)"
-    )
-    p_pbench.add_argument(
-        "--json", default="BENCH_partition.json", help="write the payload to this file ('' to skip)"
-    )
-    p_pbench.add_argument(
-        "--reference",
-        default=None,
-        help="compare against this checked-in bench payload and fail on regression",
-    )
-    p_pbench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="fail when wall-clock exceeds reference by this factor",
-    )
-    _add_trace_arg(p_pbench)
-    _add_ledger_args(p_pbench)
-    p_pbench.set_defaults(func=cmd_partition_bench)
 
     p_batch = sub.add_parser(
         "batch", help="run a campaign of circuits x flows process-parallel with caching"

@@ -1,11 +1,10 @@
 """The scalable saturation engine.
 
-Supersedes the naive ``repro.egraph.runner`` loop with batched e-matching,
-egg-style rule scheduling (simple / backoff), cross-iteration match
-deduplication, worklist-driven incremental rebuilds, and full saturation
-telemetry.  ``egraph.runner.Runner``/``saturate`` remain as thin
-compatibility wrappers over :class:`SaturationEngine` with the
-:class:`SimpleScheduler`.
+The repo's one equality-saturation loop: batched e-matching, egg-style rule
+scheduling (simple / backoff), cross-iteration match deduplication,
+worklist-driven incremental rebuilds, and full saturation telemetry.
+``SaturationEngine(..., scheduler="simple", dedup_matches=False)`` is the
+plain egg-style loop: every rule every iteration, every match applied.
 
 There is one e-matcher: :class:`BatchedMatcher` compiles all rule patterns
 into one shared-prefix trie and walks it over class views built from
@@ -13,7 +12,7 @@ into one shared-prefix trie and walks it over class views built from
 """
 
 from repro.engine.batched import BatchedMatcher, compile_pattern, priorities_from_attribution
-from repro.engine.engine import EngineLimits, SaturationEngine, saturate_engine
+from repro.engine.engine import EngineLimits, SaturationEngine
 from repro.engine.scheduler import (
     SCHEDULERS,
     BackoffScheduler,
@@ -26,7 +25,6 @@ from repro.engine.telemetry import IterationReport, RuleProfile, SaturationProfi
 __all__ = [
     "SaturationEngine",
     "EngineLimits",
-    "saturate_engine",
     "BatchedMatcher",
     "compile_pattern",
     "priorities_from_attribution",

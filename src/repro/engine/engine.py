@@ -56,7 +56,7 @@ from repro.obs.metrics import registry as obs_registry
 
 @dataclass
 class EngineLimits:
-    """Stopping conditions for equality saturation (legacy ``RunnerLimits``)."""
+    """Stopping conditions for equality saturation."""
 
     max_iterations: int = 5
     max_nodes: int = 200_000
@@ -323,21 +323,3 @@ class SaturationEngine:
         metrics.gauge("egraph_nodes", "e-nodes after the last saturation run").set(egraph.num_nodes)
         return self.profile
 
-
-def saturate_engine(
-    egraph: EGraph,
-    rules: Sequence[Rewrite],
-    limits: Optional[EngineLimits] = None,
-    scheduler: Union[str, Scheduler, None] = None,
-    dedup_matches: bool = True,
-    rule_priorities: Optional[Dict[str, float]] = None,
-) -> SaturationProfile:
-    """One-call helper mirroring ``egraph.runner.saturate`` on the engine."""
-    return SaturationEngine(
-        egraph,
-        rules,
-        limits=limits,
-        scheduler=scheduler,
-        dedup_matches=dedup_matches,
-        rule_priorities=rule_priorities,
-    ).run()

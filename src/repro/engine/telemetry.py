@@ -1,12 +1,10 @@
 """Saturation telemetry: per-rule and per-iteration statistics of a run.
 
-:class:`SaturationProfile` is the engine's return value and doubles as the
-legacy ``RunnerReport`` (``repro.egraph.runner`` re-exports it under that
-name), so every consumer of the old report keeps working while new code gets
-per-rule search effort (trie-edge visits) and apply wall-clock, match/dedup
-counts, ban bookkeeping, and per-iteration growth curves.  Everything
-serializes to plain JSON via ``to_dict``/``from_dict`` — orchestrate job
-payloads and ``BENCH_saturation.json`` carry these records verbatim.
+:class:`SaturationProfile` is the engine's return value: the stop reason and
+final counts, per-rule search effort (trie-edge visits) and apply
+wall-clock, match/dedup counts, ban bookkeeping, and per-iteration growth
+curves.  Everything serializes to plain JSON via ``to_dict``/``from_dict`` —
+flow results and orchestrate job payloads carry these records verbatim.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ class RuleProfile:
 class IterationReport:
     """Statistics of one saturation iteration.
 
-    The first five fields are the legacy ``egraph.runner.IterationReport``
-    surface; the rest is engine telemetry.  ``skipped`` lists rules whose
+    The first five fields are the per-iteration counts; the rest is engine
+    telemetry.  ``skipped`` lists rules whose
     matches were dropped because the node budget tripped mid-apply — they are
     recorded instead of silently vanishing from ``applied``.
     """
@@ -79,7 +77,7 @@ class IterationReport:
 
 @dataclass
 class SaturationProfile:
-    """Overall result of a saturation run (the legacy ``RunnerReport``)."""
+    """Overall result of a saturation run."""
 
     stop_reason: str
     iterations: List[IterationReport] = field(default_factory=list)

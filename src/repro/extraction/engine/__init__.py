@@ -5,9 +5,8 @@ extraction problem (:mod:`problem`), delta-cost evaluation that prices an SA
 move by the ancestor cone of the flipped class (:mod:`delta`; the full
 re-derivation is the parity oracle in ``tests/oracles.py``), an island-model
 parallel portfolio of annealing / hill-climbing / random-restart chains with
-periodic best-solution migration (:mod:`portfolio`), per-chain telemetry
-(:mod:`telemetry`), and the ``emorphic extract-bench`` harness
-(:mod:`bench`).
+periodic best-solution migration (:mod:`portfolio`), and per-chain
+telemetry (:mod:`telemetry`).
 """
 
 from repro.extraction.engine.chains import CHAIN_KINDS, ChainSpec, ChainState, init_chain, run_round

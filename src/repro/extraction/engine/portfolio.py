@@ -65,8 +65,8 @@ class PortfolioConfig:
     """Configuration of the island-parallel extraction portfolio."""
 
     chains: int = 4
-    #: Total flips across all chains (the "equal move budget" knob benches
-    #: compare engines under); split as evenly as possible between chains.
+    #: Total flips across all chains; split as evenly as possible between
+    #: chains.
     move_budget: int = 256
     #: Flips a chain runs between migration barriers.
     migrate_every: int = 32

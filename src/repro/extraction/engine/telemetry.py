@@ -6,8 +6,7 @@ portfolio did (accept/reject curves per migration round, uphill moves,
 delta evaluation counts, cone sizes, wall-clock) plus the migration events
 of the island model.  Everything serializes to plain JSON via
 ``to_dict``/``from_dict`` — flow results embed these records under
-``"extraction"`` next to ``"saturation"``, and ``BENCH_extraction.json``
-carries them verbatim.
+``"extraction"`` next to ``"saturation"``.
 """
 
 from __future__ import annotations

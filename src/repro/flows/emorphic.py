@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
 from repro.costmodel.hoga import HogaModel
-from repro.egraph.runner import RunnerReport
+from repro.engine.telemetry import SaturationProfile
 from repro.flows.baseline import BaselineConfig, BaselineResult, run_baseline_flow  # noqa: F401 (re-export)
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
@@ -147,7 +147,7 @@ class EmorphicResult:
     levels: int
     runtime: float
     phase_runtimes: Dict[str, float] = field(default_factory=dict)
-    rewrite_report: Optional[RunnerReport] = None
+    rewrite_report: Optional[SaturationProfile] = None
     num_candidates: int = 0
     baseline_delay_before_resynthesis: float = 0.0
     equivalence: Optional[CecResult] = None

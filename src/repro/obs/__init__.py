@@ -26,7 +26,7 @@ One span/metrics substrate for every subsystem:
 
 Engine profiles (``SaturationProfile``, ``ExtractionProfile``) are populated
 *from* spans, so one instrumentation layer feeds the JSON payloads, the
-benches, `--trace` exports, and the future job-server streaming path.
+`--trace` exports, and the future job-server streaming path.
 """
 
 from repro.obs.export import (

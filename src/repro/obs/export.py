@@ -106,7 +106,7 @@ def write_folded_stacks(trace: Union[Tracer, List[SpanRecord]], path: str) -> No
 def span_summary(trace: Union[Tracer, List[SpanRecord]]) -> Dict[str, Dict[str, float]]:
     """Per-category aggregate of a trace: span count and total wall-clock.
 
-    The compact JSON-friendly digest benches attach to their payloads
+    A compact JSON-friendly digest
     (``{"saturation.phase": {"count": 6, "total": 0.012}, ...}``); instants
     count but contribute no time.
     """

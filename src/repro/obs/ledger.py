@@ -1,6 +1,6 @@
 """Persistent, append-only run ledger: QoR/perf history across invocations.
 
-Every ``emorphic run``/``pipeline``/``batch``/``sweep``/bench invocation
+Every ``emorphic run``/``pipeline``/``batch``/``sweep`` invocation
 appends one JSON-lines record per completed flow to a ledger file (default
 ``~/.cache/emorphic/ledger/runs.jsonl``, overridable with the
 ``EMORPHIC_LEDGER`` environment variable or an explicit path).  Records are

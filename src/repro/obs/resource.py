@@ -123,8 +123,7 @@ class _RunScope:
     The engine drives it: :meth:`snapshot` once per iteration (after
     rebuild, with the counters the iteration report already reads), and the
     observer callbacks count structural events in between.  Countering is
-    two integer increments per event — cheap enough that the sampler's
-    measured overhead is reported by ``saturate-bench`` rather than assumed.
+    two integer increments per event; the sampler's overhead is unmeasured.
     """
 
     __slots__ = ("sample", "_egraph", "_adds", "_unions")

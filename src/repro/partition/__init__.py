@@ -3,11 +3,11 @@ saturate + extract, and CEC-guarded stitching.
 
 The monolithic engine caps out orders of magnitude below EPFL-scale inputs;
 this package decomposes a host AIG into bounded windows (fanout-free cones
-or structural level cuts), optimizes each window with the PR-3/PR-4
-saturation and extraction engines — optionally fanned out over a process
+or structural level cuts), optimizes each window with the saturation
+and extraction engines — optionally fanned out over a process
 pool — and splices the survivors back, guarded by per-window and
 whole-circuit SAT CEC.  See ``windows``/``optimize``/``stitch``/
-``telemetry``/``bench`` for the layers.
+``telemetry`` for the layers.
 """
 
 from repro.partition.optimize import (

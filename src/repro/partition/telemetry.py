@@ -3,8 +3,8 @@
 ``PartitionProfile`` is the partition analogue of the engine's
 ``SaturationProfile`` / ``ExtractionProfile`` — a plain serialisable record
 that rides in pipeline results under the ``"partition"`` key (next to
-``"saturation"`` and ``"extraction"``), in orchestration payloads, and in
-``BENCH_partition.json``.  Every window contributes a ``WindowReport`` with
+``"saturation"`` and ``"extraction"``) and in orchestration payloads.
+Every window contributes a ``WindowReport`` with
 its boundary shape, what the saturate/extract stages did, the CEC verdict,
 and the accept/revert decision, so a partitioned run can be audited window
 by window after the fact.

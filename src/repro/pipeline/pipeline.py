@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
-from repro.egraph.runner import RunnerReport
+from repro.engine.telemetry import SaturationProfile
 from repro.mapping.cut_mapping import MappingResult
 from repro.mapping.library import Library
 from repro.obs import trace as obs
@@ -123,7 +123,7 @@ class PipelineResult:
     metrics: Dict[str, object] = field(default_factory=dict)
     equivalence: Optional[CecResult] = None
     #: Saturation telemetry when the script ran a ``saturate`` pass.
-    rewrite_report: Optional[RunnerReport] = None
+    rewrite_report: Optional[SaturationProfile] = None
     #: Extraction-engine telemetry when the script ran a portfolio ``extract``.
     extraction_profile: Optional[object] = None
     #: Partitioned-run telemetry when the script ran ``partition``/``stitch``.

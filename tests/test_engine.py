@@ -1,4 +1,4 @@
-"""Tests of the saturation engine: schedulers, dedup, telemetry, the bench.
+"""Tests of the saturation engine: schedulers, dedup, telemetry, CEC guard.
 
 Includes the randomized e-graph invariant suite: seeded add/union/rebuild
 sequences asserting hashcons consistency, congruence closure, the O(1)
@@ -21,7 +21,6 @@ from repro.egraph.language import AND, NOT, OR, VAR
 from repro.egraph.pattern import parse_pattern
 from repro.egraph.rewrite import Rewrite
 from repro.egraph.rules import boolean_rules, rules_by_name
-from repro.egraph.runner import Runner, RunnerLimits, saturate
 from repro.egraph.serialize import egraph_digest
 from repro.engine import (
     BackoffScheduler,
@@ -30,10 +29,8 @@ from repro.engine import (
     SaturationEngine,
     SimpleScheduler,
     make_scheduler,
-    saturate_engine,
 )
 from repro.engine.batched import class_views
-from repro.engine.bench import check_regressions, render_bench, run_saturation_bench
 from repro.engine.telemetry import SaturationProfile
 from oracles import assert_views_match_object_model, search
 
@@ -82,17 +79,23 @@ class TestRandomizedInvariants:
         for _ in range(25):
             op = rng.choice([AND, OR])
             eg.add_term(op, [rng.choice(leaves), rng.choice(leaves)])
-        saturate_engine(
+        SaturationEngine(
             eg,
             boolean_rules(include_expansion=False),
             EngineLimits(max_iterations=3, max_nodes=4_000),
-        )
+        ).run()
         eg.check_invariants()
         assert_views_match_object_model(eg)
 
     def test_counters_match_recomputation(self):
         eg = _diamond_egraph()
-        saturate(eg, boolean_rules(), max_iterations=2, max_nodes=3_000)
+        SaturationEngine(
+            eg,
+            boolean_rules(),
+            EngineLimits(max_iterations=2, max_nodes=3_000),
+            scheduler="simple",
+            dedup_matches=False,
+        ).run()
         classes = eg.canonical_classes()
         assert eg.num_classes == len(classes)
         assert eg.num_nodes == sum(len(ec.nodes) for ec in classes.values())
@@ -151,38 +154,31 @@ class TestDeterminism:
     def test_repeated_runs_identical_digest(self, scheduler):
         def run():
             eg = _diamond_egraph()
-            saturate_engine(
+            SaturationEngine(
                 eg,
                 boolean_rules(),
                 EngineLimits(max_iterations=3, max_nodes=2_000, match_limit_per_rule=40),
                 scheduler=scheduler,
-            )
+            ).run()
             return egraph_digest(eg)
 
         assert run() == run()
 
 
 # --------------------------------------------------------------------------
-# Legacy parity: SimpleScheduler without dedup is byte-for-byte the old loop.
+# The plain loop: SimpleScheduler without dedup keeps the report surface.
 
 
 class TestLegacyParity:
-    def test_runner_wrapper_matches_unindexed_engine(self):
-        eg1, eg2 = _diamond_egraph(), _diamond_egraph()
-        limits = RunnerLimits(max_iterations=3, max_nodes=2_500)
-        report = Runner(eg1, boolean_rules(), limits).run()
-        profile = SaturationEngine(
-            eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=False
-        ).run()
-        assert egraph_digest(eg1) == egraph_digest(eg2)
-        assert report.stop_reason == profile.stop_reason
-        assert [it.applied for it in report.iterations] == [
-            it.applied for it in profile.iterations
-        ]
-
     def test_legacy_report_surface_preserved(self):
         eg = _diamond_egraph()
-        report = saturate(eg, rules_by_name(["and-comm"]), max_iterations=10)
+        report = SaturationEngine(
+            eg,
+            rules_by_name(["and-comm"]),
+            EngineLimits(max_iterations=10),
+            scheduler="simple",
+            dedup_matches=False,
+        ).run()
         assert report.stop_reason == "saturated"
         assert report.num_iterations < 10
         assert report.final_classes > 0 and report.final_nodes > 0
@@ -215,12 +211,12 @@ class TestSchedulers:
 
     def test_backoff_engine_records_bans(self):
         eg = _diamond_egraph()
-        profile = saturate_engine(
+        profile = SaturationEngine(
             eg,
             boolean_rules(),
             EngineLimits(max_iterations=4, max_nodes=50_000),
             scheduler=BackoffScheduler(match_limit=5, ban_length=1),
-        )
+        ).run()
         banned = [name for name, rule in profile.rules.items() if rule.banned_iterations]
         assert banned, "tiny match limit must ban at least one rule"
         assert any(it.banned for it in profile.iterations)
@@ -233,12 +229,12 @@ class TestSchedulers:
         rules = [
             Rewrite.from_strings("comm", "(AND ?a ?b)", "(AND ?b ?a)"),
         ]
-        profile = saturate_engine(
+        profile = SaturationEngine(
             eg,
             rules,
             EngineLimits(max_iterations=6, max_nodes=50_000),
             scheduler=BackoffScheduler(match_limit=1, ban_length=1),
-        )
+        ).run()
         quiet_restricted = [
             i
             for i, it in enumerate(profile.iterations)
@@ -259,21 +255,21 @@ class TestSchedulers:
 class TestDedupAndSkips:
     def test_dedup_skips_reapplied_matches(self):
         eg = _diamond_egraph()
-        profile = saturate_engine(
+        profile = SaturationEngine(
             eg,
             boolean_rules(include_expansion=False),
             EngineLimits(max_iterations=4, max_nodes=50_000),
             scheduler="simple",
             dedup_matches=True,
-        )
+        ).run()
         assert sum(it.matches_deduped for it in profile.iterations) > 0
         eg.check_invariants()
 
     def test_dedup_preserves_discovered_equalities(self):
         eg1, eg2 = _diamond_egraph(), _diamond_egraph()
         limits = EngineLimits(max_iterations=3, max_nodes=100_000)
-        saturate_engine(eg1, boolean_rules(), limits, scheduler="simple", dedup_matches=False)
-        saturate_engine(eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=True)
+        SaturationEngine(eg1, boolean_rules(), limits, scheduler="simple", dedup_matches=False).run()
+        SaturationEngine(eg2, boolean_rules(), limits, scheduler="simple", dedup_matches=True).run()
         # Without a node budget truncating growth the results are identical.
         assert egraph_digest(eg1) == egraph_digest(eg2)
 
@@ -294,12 +290,12 @@ class TestDedupAndSkips:
 
     def test_budget_tripped_rules_recorded_as_skipped(self):
         eg = _diamond_egraph()
-        profile = saturate_engine(
+        profile = SaturationEngine(
             eg,
             boolean_rules(),
             EngineLimits(max_iterations=3, max_nodes=60),
             scheduler="simple",
-        )
+        ).run()
         assert profile.stop_reason == "node_limit"
         tripped = profile.iterations[-1]
         assert tripped.skipped, "rules past the node budget must be recorded"
@@ -317,9 +313,9 @@ class TestDedupAndSkips:
 class TestTelemetry:
     def _profile(self):
         eg = _diamond_egraph()
-        return saturate_engine(
+        return SaturationEngine(
             eg, boolean_rules(), EngineLimits(max_iterations=2, max_nodes=5_000)
-        )
+        ).run()
 
     def test_profile_counters(self):
         profile = self._profile()
@@ -418,8 +414,8 @@ class TestExtractionRepair:
         circuit, a, expr = self._absorbed_circuit()
         eg = circuit.egraph
         # Absorption: a AND (a OR b) == a — merges the root with the input.
-        saturate_engine(eg, [Rewrite.from_strings("absorb", "(AND ?x (OR ?x ?y))", "?x")],
-                        EngineLimits(max_iterations=3))
+        SaturationEngine(eg, [Rewrite.from_strings("absorb", "(AND ?x (OR ?x ?y))", "?x")],
+                        EngineLimits(max_iterations=3)).run()
         assert eg.find(expr) == eg.find(a)
         extraction = circuit.original_extraction()
         # The repaired choice must terminate: the merged class cannot keep the
@@ -432,8 +428,8 @@ class TestExtractionRepair:
 
         circuit, a, expr = self._absorbed_circuit()
         eg = circuit.egraph
-        saturate_engine(eg, [Rewrite.from_strings("absorb", "(AND ?x (OR ?x ?y))", "?x")],
-                        EngineLimits(max_iterations=3))
+        SaturationEngine(eg, [Rewrite.from_strings("absorb", "(AND ?x (OR ?x ?y))", "?x")],
+                        EngineLimits(max_iterations=3)).run()
         root = eg.find(expr)
         cyclic = circuit.original_extraction()
         cyclic[root] = ENode(op=AND, children=(root, eg.find(a)))
@@ -454,65 +450,10 @@ class TestExtractionRepair:
 
 
 # --------------------------------------------------------------------------
-# The saturation bench and its regression gate.
+# End to end on a benchgen circuit: saturate, extract, prove equivalence.
 
 
 class TestSaturationBench:
-    def test_fast_bench_payload(self):
-        payload = run_saturation_bench(
-            circuits=["adder"], fast=True, iters=2, max_nodes=2_000, conflict_budget=20_000
-        )
-        entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"legacy", "engine"}
-        for run in entry["runs"].values():
-            assert run["wall_time"] > 0
-            assert run["extraction_cec"] in ("equivalent", "unknown")
-            assert run["extraction_cec"] != "counterexample"
-        assert "engine" in entry["speedup"]
-        assert payload["summary"]["geomean_speedup"]["engine"] > 0
-        json.dumps(payload)  # JSON-serializable end to end
-        assert "adder" in render_bench(payload)
-
-    def test_regression_check(self):
-        payload = {
-            "circuits": {
-                "adder": {
-                    "runs": {
-                        "engine": {"wall_time": 10.0, "extraction_cec": "equivalent"},
-                        "legacy": {"wall_time": 1.0, "extraction_cec": "equivalent"},
-                    }
-                }
-            }
-        }
-        reference = {
-            "circuits": {
-                "adder": {
-                    "runs": {
-                        "engine": {"wall_time": 1.0, "extraction_cec": "equivalent"},
-                        "legacy": {"wall_time": 1.0, "extraction_cec": "equivalent"},
-                        "ghost": {"wall_time": 1.0},
-                    }
-                },
-                "missing": {"runs": {"engine": {"wall_time": 1.0}}},
-            }
-        }
-        failures = check_regressions(payload, reference, max_ratio=2.0)
-        assert len(failures) == 1 and "adder/engine" in failures[0]
-        assert not check_regressions(reference, reference)
-
-    def test_cec_guard_flags_counterexample(self):
-        payload = {
-            "circuits": {
-                "c": {"runs": {"engine": {"wall_time": 1.0, "extraction_cec": "counterexample"}}}
-            }
-        }
-        reference = {
-            "circuits": {
-                "c": {"runs": {"engine": {"wall_time": 1.0, "extraction_cec": "equivalent"}}}
-            }
-        }
-        assert check_regressions(payload, reference) == ["c/engine: extraction no longer equivalent"]
-
     def test_engine_extraction_cec_equivalent_on_benchgen(self):
         # The acceptance guard at test scale: saturate with the full engine,
         # extract, and SAT-check equivalence against the input circuit.
@@ -522,12 +463,12 @@ class TestSaturationBench:
 
         aig = epfl.build("multiplier", preset="test")
         circuit = aig_to_egraph(aig)
-        saturate_engine(
+        SaturationEngine(
             circuit.egraph,
             boolean_rules(),
             EngineLimits(max_iterations=3, max_nodes=6_000),
             scheduler="backoff",
-        )
+        ).run()
         extraction = greedy_extract(circuit.egraph, cost=DepthCost())
         extracted = extraction_to_aig(circuit, extraction, name="sat").strash()
         assert check_equivalence(aig, extracted, conflict_budget=50_000).status == "equivalent"

@@ -15,7 +15,7 @@ from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.egraph import EGraph
 from repro.egraph.language import AND, NOT, OR
 from repro.egraph.rules import boolean_rules
-from repro.egraph.runner import saturate
+from repro.engine import EngineLimits, SaturationEngine
 from repro.extraction.cost import DepthCost, NodeCountCost, OperatorCost, extraction_cost
 from repro.extraction.greedy import extraction_size, greedy_extract
 from repro.extraction.random_extract import random_extract
@@ -27,7 +27,13 @@ def saturated_circuit():
     """A saturated e-graph of a small circuit, shared across extraction tests."""
     aig = epfl.build("sqrt", preset="test")
     circuit = aig_to_egraph(aig)
-    saturate(circuit.egraph, boolean_rules(), max_iterations=2, max_nodes=15_000)
+    SaturationEngine(
+        circuit.egraph,
+        boolean_rules(),
+        EngineLimits(max_iterations=2, max_nodes=15_000),
+        scheduler="simple",
+        dedup_matches=False,
+    ).run()
     return aig, circuit
 
 

@@ -1,5 +1,5 @@
 """Tests of the extraction engine: frozen problem, delta-cost parity,
-portfolio determinism, migration, telemetry, and the extraction bench."""
+portfolio determinism, migration and telemetry."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from repro.extraction.engine import (
     run_round,
 )
 from repro.extraction.engine import chains as engine_chains
-from repro.extraction.engine.bench import check_regressions, render_bench, run_extraction_bench
 from repro.extraction.greedy import greedy_extract
 
 from oracles import FullCostEvaluator
@@ -371,37 +370,3 @@ class TestTelemetry:
         assert len(chain.best_curve) == 1 + 3  # initial + one entry per round
         assert chain.best_curve[-1] == chain.best_cost
         assert sum(chain.accept_curve) + sum(chain.reject_curve) == chain.moves
-
-
-class TestExtractionBench:
-    def test_fast_bench_payload(self):
-        payload = run_extraction_bench(
-            circuits=["adder"],
-            fast=True,
-            move_budget=12,
-            chains=2,
-            saturate_iters=2,
-            max_nodes=2_000,
-            check_cec=True,
-        )
-        entry = payload["circuits"]["adder"]
-        assert set(entry["runs"]) == {"delta", "portfolio"}
-        for run in entry["runs"].values():
-            assert run["wall_time"] > 0
-            assert run["extraction_cec"] == "equivalent"
-        assert "speedup" not in entry and "summary" not in payload
-        assert "adder" in render_bench(payload)
-
-    def test_check_regressions_gate(self):
-        payload = {
-            "circuits": {
-                "adder": {"runs": {"portfolio": {"wall_time": 10.0, "extraction_cec": "equivalent"}}}
-            }
-        }
-        reference = {
-            "circuits": {
-                "adder": {"runs": {"portfolio": {"wall_time": 1.0, "extraction_cec": "equivalent"}}}
-            }
-        }
-        assert check_regressions(payload, reference, max_ratio=2.0)
-        assert not check_regressions(payload, reference, max_ratio=20.0)

@@ -4,8 +4,8 @@ Covers the partitioner invariants (coverage, convexity, determinism per
 seed), the identity stitch round trip (CEC-verified), per-window
 optimization with its fail-soft and revert guards, inline-vs-pool
 determinism of ``partitioned_optimize``, the telemetry JSON surface, the
-``partition``/``stitch`` pipeline passes, and the fast bench profile's
-capability-gap demonstration.
+``partition``/``stitch`` pipeline passes, and the capability gap at equal
+budget (monolithic saturation trips its node cap, the windows complete).
 """
 
 from __future__ import annotations
@@ -230,20 +230,35 @@ class TestPipelinePasses:
 
 
 class TestBench:
-    def test_fast_profile_demonstrates_gap(self):
-        from repro.engine.bench import check_regressions
-        from repro.partition.bench import check_completions, render_bench, run_partition_bench
+    """Partitioning's capability gate: at one equal budget the monolithic
+    engine trips its node cap where every window completes CEC-clean."""
 
-        payload = run_partition_bench(fast=True, workers=0)
-        entry = payload["circuits"]["log2"]
-        assert entry["runs"]["monolithic"]["completed"] is False
-        assert entry["runs"]["monolithic"]["stop_reason"] == "node_limit"
-        assert entry["runs"]["partitioned"]["completed"] is True
-        assert entry["runs"]["partitioned"]["final_cec"] == "equivalent"
-        assert check_completions(payload) == []
-        assert check_regressions(payload, payload) == []
-        assert "partitioned" in render_bench(payload)
-        json.dumps(payload)
+    ITERS, MAX_NODES, TIME_LIMIT = 3, 4_000, 120.0
+    HEALTHY_STOPS = ("saturated", "iteration_limit")
+
+    def test_fast_profile_demonstrates_gap(self, log2_test):
+        from repro.conversion.dag2eg import aig_to_egraph
+        from repro.egraph.rules import boolean_rules
+        from repro.engine import EngineLimits, SaturationEngine
+
+        limits = EngineLimits(
+            max_iterations=self.ITERS, max_nodes=self.MAX_NODES, time_limit=self.TIME_LIMIT
+        )
+        monolithic = SaturationEngine(aig_to_egraph(log2_test).egraph, boolean_rules(), limits).run()
+        assert monolithic.stop_reason == "node_limit"
+
+        window = WindowOptConfig(
+            iters=self.ITERS, max_nodes=self.MAX_NODES, time_limit=self.TIME_LIMIT
+        )
+        outcome = partitioned_optimize(
+            log2_test, PartitionConfig(k=40, method="cone", seed=0, workers=0), window, verify=True
+        )
+        profile = outcome.profile
+        assert profile.failed_windows == 0
+        assert all(
+            w.saturation_stop in self.HEALTHY_STOPS for w in profile.windows if w.status != "failed"
+        )
+        assert profile.final_cec == "equivalent"
 
 
 class TestStructuralUtilities:
