@@ -72,7 +72,7 @@ def _run_ablation() -> dict:
         circuit.egraph,
         circuit.output_classes,
         cost=cost,
-        config=PortfolioConfig(chains=1, move_budget=16, migrate_every=4, seed=3, workers=0),
+        config=PortfolioConfig(chains=1, move_budget=16, migrate_every=4, seed=3),
     )
 
     # 3. Rewrite-iteration sweep: equivalence classes and nodes per iteration count.

@@ -48,9 +48,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.aig.graph import Aig
 from repro.aig.io_aiger import read_aag
 from repro.benchgen import epfl
+from repro.extraction.cost import GUIDING_COSTS
 from repro.flows.baseline import BaselineConfig, run_baseline_flow
 from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow
 from repro.obs.log import configure_logging, get_logger
+from repro.pipeline import Pipeline, PipelineError
 
 FLOW_VARIANTS = ("baseline", "emorphic", "emorphic_ml")
 
@@ -318,7 +320,7 @@ def _add_emorphic_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--extraction-cost",
         default="depth",
-        choices=["depth", "nodes"],
+        choices=list(GUIDING_COSTS),
         help="guiding cost inside the SA extractor",
     )
     parser.add_argument(
@@ -347,10 +349,6 @@ def _emorphic_config(args: argparse.Namespace) -> EmorphicConfig:
         verify=not args.no_verify,
     )
     config.baseline.use_choices = not args.no_choices
-    if config.use_ml_model:
-        from repro.costmodel.train import default_ml_model
-
-        config.ml_model = default_ml_model()
     return config
 
 
@@ -452,19 +450,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # Scripted pipelines.
 
 
-def _build_pipeline(script: str):
-    """Parse a pipeline script, turning parse errors into clean CLI errors."""
-    from repro.pipeline import Pipeline, PipelineError
-
-    try:
-        return Pipeline.from_script(script)
-    except PipelineError as exc:
-        raise SystemExit(f"pipeline error: {exc}")
-
-
 def cmd_pipeline(args: argparse.Namespace) -> int:
     aig = _load_circuit(args)
-    pipeline = _build_pipeline(args.script)
+    pipeline = Pipeline.from_script(args.script)
 
     def on_pass_end(name: str, ctx, seconds: float) -> None:
         stats = ctx.aig.stats()
@@ -509,7 +497,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import to_chrome_trace, tracing, write_chrome_trace
 
     aig = _load_circuit(args)
-    pipeline = _build_pipeline(args.script)
+    pipeline = Pipeline.from_script(args.script)
     with tracing() as tracer:
         result = pipeline.run_flow(aig)
     print(f"pipeline: {pipeline.to_script()} on {aig.name}")
@@ -550,7 +538,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs import recording
 
     aig = _load_circuit(args)
-    pipeline = _build_pipeline(args.script)
+    pipeline = Pipeline.from_script(args.script)
     with recording() as recorder:
         result = pipeline.run_flow(aig)
     print(f"pipeline: {pipeline.to_script()} on {aig.name}")
@@ -701,7 +689,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if args.script:
         if args.flows != "baseline,emorphic":  # explicitly set alongside --script
             raise SystemExit("batch error: --script replaces the named flows; drop --flows")
-        pipeline = _build_pipeline(args.script)
+        pipeline = Pipeline.from_script(args.script)
         for name in _campaign_circuits(args):
             jobs.append(make_pipeline_job(name, pipeline, preset=args.preset, tag="pipeline"))
     else:
@@ -784,7 +772,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.param:
             raise SystemExit("sweep error: --script sweeps flow shapes; drop --param")
         # Validate every script before launching any jobs.
-        scripts = [_build_pipeline(script) for script in args.script]
+        scripts = [Pipeline.from_script(script) for script in args.script]
         report = run_pipeline_sweep(
             _campaign_circuits(args),
             scripts,
@@ -1167,7 +1155,12 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(verbosity=args.verbosity, quiet=args.quiet, fmt=args.log_format)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PipelineError as exc:
+        # Parse and run-time pipeline errors alike carry a user-presentable
+        # message; no traceback.
+        raise SystemExit(f"pipeline error: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

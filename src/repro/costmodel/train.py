@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,13 +165,15 @@ def train_cost_model(
     return model, report
 
 
+@lru_cache(maxsize=None)
 def default_ml_model(seed: int = 0) -> HogaModel:
-    """A small default cost model trained on tiny circuits.
+    """A small default cost model trained on tiny circuits, once per process
+    and seed.
 
-    Used where a job asks for ``use_ml_model=True`` but no trained instance is
-    at hand — the ``emorphic run --use-ml-model`` CLI path and orchestration
-    worker processes (a model instance is not part of a job's identity, so it
-    is never pickled across the pool).
+    Backs ``extract(use_ml=true)`` whenever the flow carries no trained
+    instance — ``emorphic run --use-ml-model``, scripted pipelines and
+    orchestration worker processes alike (a model instance is not part of a
+    job's identity, so it is never pickled across the pool).
     """
     from repro.benchgen import epfl
 

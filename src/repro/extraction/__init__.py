@@ -1,5 +1,5 @@
 """E-graph extraction: greedy, random, Algorithm 1 neighbour generation, and
-the island-parallel extraction engine (:mod:`repro.extraction.engine`)."""
+the island-portfolio extraction engine (:mod:`repro.extraction.engine`)."""
 
 from repro.extraction.cost import CostFunction, DepthCost, NodeCountCost, OperatorCost
 from repro.extraction.engine import (

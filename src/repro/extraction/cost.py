@@ -80,6 +80,23 @@ class OperatorCost(CostFunction):
         return self.weights.get(enode.op, self.default)
 
 
+#: The guiding costs the DSL (``extract(cost=...)``) and the flow configs
+#: select by name.
+GUIDING_COSTS = {"depth": DepthCost, "nodes": NodeCountCost}
+
+
+def guiding_cost(name: str) -> CostFunction:
+    """The guiding cost called ``name``; unknown names raise ``PipelineError``."""
+    if name not in GUIDING_COSTS:
+        # Imported here: the pipeline package imports this module.
+        from repro.pipeline.context import PipelineError
+
+        raise PipelineError(
+            f"unknown extraction cost {name!r}; choose from {', '.join(GUIDING_COSTS)}"
+        )
+    return GUIDING_COSTS[name]()
+
+
 def extraction_cost(
     egraph,
     extraction: Dict[int, ENode],

@@ -4,7 +4,7 @@ The repo's one simulated-annealing extractor: a frozen, index-based
 extraction problem (:mod:`problem`), delta-cost evaluation that prices an SA
 move by the ancestor cone of the flipped class (:mod:`delta`; the full
 re-derivation is the parity oracle in ``tests/oracles.py``), an island-model
-parallel portfolio of annealing / hill-climbing / random-restart chains with
+portfolio of inline annealing / hill-climbing / random-restart chains with
 periodic best-solution migration (:mod:`portfolio`), and per-chain
 telemetry (:mod:`telemetry`).
 """

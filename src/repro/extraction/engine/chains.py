@@ -1,13 +1,13 @@
 """Portfolio chains: the per-island move loops of the extraction engine.
 
-A chain is one worker of the island portfolio — simulated annealing under a
+A chain is one island of the portfolio — simulated annealing under a
 per-chain schedule, a zero-temperature hill climber, or a random-restart
-annealer.  Chains run in *rounds* of ``migrate_every`` moves: a round is a
-pure function of ``(problem, ChainState, moves)``, which is what makes the
-portfolio deterministic regardless of whether rounds execute inline or on a
-``ProcessPoolExecutor`` — the state carries the choice, the rng state, and
-the telemetry counters, and every round rebuilds the evaluator (topological
-order, flip candidates, cost caches) from the bare choice.
+annealer.  Chains run in *rounds* of ``migrate_every`` moves: a round
+advances one :class:`ChainState` in place — the state carries the choice,
+the chain's own ``random.Random``, and the telemetry counters — and every
+round rebuilds the evaluator (topological order, flip candidates, cost
+caches) from the bare choice, so a migration between rounds only has to
+swap the choice.
 
 Chain kinds:
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.problem import Choice, FrozenProblem
@@ -50,7 +50,7 @@ class ChainSpec:
 
 @dataclass
 class ChainState:
-    """Everything a chain carries between rounds (picklable)."""
+    """Everything a chain carries between rounds."""
 
     spec: ChainSpec
     seed: int
@@ -59,7 +59,7 @@ class ChainState:
     best_choice: Choice
     best_cost: float
     temperature: float
-    rng_state: Tuple
+    rng: random.Random
     since_improvement: int = 0
     profile: ChainProfile = field(default_factory=lambda: ChainProfile(chain_id=0))
 
@@ -109,7 +109,7 @@ def init_chain(
         best_choice=dict(choice),
         best_cost=cost,
         temperature=spec.temperature,
-        rng_state=rng.getstate(),
+        rng=rng,
         profile=profile,
     )
 
@@ -131,16 +131,14 @@ def _flippable(problem: FrozenProblem, choice: Choice, safe: Dict[int, list]) ->
     return [cid for cid in sorted(reachable) if len(safe.get(cid, ())) > 1]
 
 
-def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainState:
-    """Advance one chain by ``moves`` flips; returns the updated state.
+def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> None:
+    """Advance one chain by ``moves`` flips, updating ``state`` in place.
 
-    Pure up to the state it returns: rebuilds the topological order, the
-    cycle-safe flip candidates, and the cost evaluator from ``state.choice``,
-    restores the rng, and never reads process-local state — so a round
-    computes the identical result inline and inside a pool worker.  The
-    round's span (``chain round``, tagged with chain id and kind) is both the
-    profile's wall-clock source and — when a tracer is installed inline or in
-    the worker — the per-chain level of the trace tree.
+    Rebuilds the topological order, the cycle-safe flip candidates, and the
+    cost evaluator from ``state.choice`` and draws from the chain's own rng,
+    so a round depends on nothing but the state it advances.  The round's
+    span (``chain round``, tagged with chain id and kind) is both the
+    profile's wall-clock source and the per-chain level of the trace tree.
     """
     round_span = obs.span(
         "chain round",
@@ -150,8 +148,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
     )
     with round_span:
         spec = state.spec
-        rng = random.Random()
-        rng.setstate(state.rng_state)
+        rng = state.rng
 
         order = problem.toposort(state.choice)
         safe = problem.flip_candidates(order)
@@ -163,7 +160,6 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         best_cost = state.best_cost
         temperature = state.temperature
         since_improvement = state.since_improvement
-        profile = state.profile
         accepted = rejected = uphill = restarts = executed = 0
 
         for _ in range(moves if flippable else 0):
@@ -222,57 +218,38 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> ChainSta
         round_span.set("uphill", uphill)
         round_span.set("restarts", restarts)
         round_span.set("best_cost", best_cost)
-    elapsed = round_span.duration
-    profile = replace(
-        profile,
-        best_cost=best_cost,
-        final_cost=current,
-        moves=profile.moves + executed,
-        accepted=profile.accepted + accepted,
-        rejected=profile.rejected + rejected,
-        uphill=profile.uphill + uphill,
-        restarts=profile.restarts + restarts,
-        evals=profile.evals + evaluator.evals,
-        classes_touched=profile.classes_touched + evaluator.touched,
-        wall_time=profile.wall_time + elapsed,
-        best_curve=profile.best_curve + [best_cost],
-        accept_curve=profile.accept_curve + [accepted],
-        reject_curve=profile.reject_curve + [rejected],
-    )
-    return ChainState(
-        spec=spec,
-        seed=state.seed,
-        choice=dict(evaluator.choice),
-        current_cost=current,
-        best_choice=best_choice,
-        best_cost=best_cost,
-        temperature=temperature,
-        rng_state=rng.getstate(),
-        since_improvement=since_improvement,
-        profile=profile,
-    )
+    state.choice = evaluator.choice
+    state.current_cost = current
+    state.best_choice = best_choice
+    state.best_cost = best_cost
+    state.temperature = temperature
+    state.since_improvement = since_improvement
+    profile = state.profile
+    profile.best_cost = best_cost
+    profile.final_cost = current
+    profile.moves += executed
+    profile.accepted += accepted
+    profile.rejected += rejected
+    profile.uphill += uphill
+    profile.restarts += restarts
+    profile.evals += evaluator.evals
+    profile.classes_touched += evaluator.touched
+    profile.wall_time += round_span.duration
+    profile.best_curve.append(best_cost)
+    profile.accept_curve.append(accepted)
+    profile.reject_curve.append(rejected)
 
 
-def adopt_solution(state: ChainState, choice: Choice, cost: float) -> ChainState:
-    """Island migration: replace the chain's *current* solution.
+def adopt_solution(state: ChainState, choice: Choice, cost: float) -> None:
+    """Island migration: replace the chain's *current* solution in place.
 
     The chain keeps its rng, schedule, and its own best-so-far bookkeeping
     (the portfolio tracks the global best separately); the next round rebuilds
     order and evaluator state from the adopted choice.
     """
-    profile = replace(state.profile, migrations_received=state.profile.migrations_received + 1)
-    best_choice, best_cost = state.best_choice, state.best_cost
-    if cost < best_cost:
-        best_choice, best_cost = dict(choice), cost
-    return ChainState(
-        spec=state.spec,
-        seed=state.seed,
-        choice=dict(choice),
-        current_cost=cost,
-        best_choice=best_choice,
-        best_cost=best_cost,
-        temperature=state.temperature,
-        rng_state=state.rng_state,
-        since_improvement=0,
-        profile=profile,
-    )
+    state.profile.migrations_received += 1
+    if cost < state.best_cost:
+        state.best_choice, state.best_cost = dict(choice), cost
+    state.choice = dict(choice)
+    state.current_cost = cost
+    state.since_improvement = 0

@@ -1,19 +1,18 @@
-"""The island-model parallel extraction portfolio.
+"""The island-model extraction portfolio.
 
 N chains (annealers at different schedules, a hill climber, a random-restart
-annealer) explore the frozen extraction problem concurrently; every
+annealer) explore the frozen extraction problem as islands; every
 ``migrate_every`` moves the islands synchronise and chains whose current
 solution is worse than the global best adopt it (recorded as
 :class:`~repro.extraction.engine.telemetry.MigrationEvent`).
 
-Chains run their rounds on a ``ProcessPoolExecutor`` — the frozen problem is
-shipped to each worker exactly once via the pool initializer — but the
-result is a pure function of ``(e-graph, config, seed)``: rounds are
-deterministic given a chain state, and migration happens at barriers, so the
-same extraction comes back with ``workers=0`` (inline), ``workers=1``, or a
-full pool.  That property is what the engine's cross-process determinism
-tests pin down, and it also means ``chains=1`` is *exactly* the single-chain
-delta-SA run.
+Chains run their rounds inline, one after another: at flow-scale move
+budgets a process pool costs more in start-up and state shipping than the
+rounds themselves, and orchestrate campaigns and partition windows already
+parallelise one level up.  The result is a pure function of
+``(e-graph, config, seed)`` — rounds are deterministic given a chain state,
+and migration happens at barriers — so ``chains=1`` is *exactly* the
+single-chain delta-SA run.
 
 Seeding: chain ``i`` draws seed :func:`chain_seed`\\ ``(seed, i)`` (chain 0
 runs the base seed, later chains a fixed stride apart), so no two chains of
@@ -22,9 +21,7 @@ one portfolio replay the same trajectory.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +59,7 @@ DEFAULT_CHAIN_SPECS: Tuple[ChainSpec, ...] = (
 
 @dataclass
 class PortfolioConfig:
-    """Configuration of the island-parallel extraction portfolio."""
+    """Configuration of the island-model extraction portfolio."""
 
     chains: int = 4
     #: Total flips across all chains; split as evenly as possible between
@@ -71,9 +68,6 @@ class PortfolioConfig:
     #: Flips a chain runs between migration barriers.
     migrate_every: int = 32
     seed: int = 7
-    #: Worker processes: None = min(chains, cpu_count); <= 1 runs inline
-    #: (identical results either way — the pool is throughput, not semantics).
-    workers: Optional[int] = None
     chain_specs: Sequence[ChainSpec] = DEFAULT_CHAIN_SPECS
 
     def __post_init__(self) -> None:
@@ -103,57 +97,6 @@ class PortfolioResult:
     #: Every chain's best extraction, best-first (after optional rescoring).
     chain_extractions: List[Dict[int, ENode]] = field(default_factory=list)
     chain_costs: List[float] = field(default_factory=list)
-
-
-# -- worker-side state --------------------------------------------------------
-
-_WORKER_PROBLEM: Optional[FrozenProblem] = None
-_WORKER_TRACED: bool = False
-_WORKER_SAMPLED: bool = False
-
-
-def _init_worker(problem: FrozenProblem, traced: bool = False, sampled: bool = False) -> None:
-    global _WORKER_PROBLEM, _WORKER_TRACED, _WORKER_SAMPLED
-    _WORKER_PROBLEM = problem
-    _WORKER_TRACED = traced
-    _WORKER_SAMPLED = sampled
-    # Same isolation rule as the fresh local tracer: a forked worker starts
-    # from an empty metrics registry, never the inherited parent copy.  The
-    # portfolio publishes its counters parent-side after the rounds, so the
-    # workers ship no counter buffers — the reset guards against any pass
-    # invoked inside a round double-publishing inherited parent state.
-    from repro.obs.metrics import reset_registry
-
-    reset_registry()
-
-
-def _worker_round(state: ChainState, moves: int):
-    """Run one round in a pool worker; returns ``(state, span_buffer,
-    resource_buffer)``.
-
-    When the parent had a tracer installed at pool creation, the worker
-    records the round's spans into a local tracer and ships the exported
-    buffer back with the state — the parent grafts it into its trace at the
-    migration barrier.  A parent-side resource sampler likewise makes the
-    worker ship a chain-stamped RSS watermark sample.  Both buffers are None
-    when their observer is off, so the common path pays nothing extra.
-    """
-    assert _WORKER_PROBLEM is not None
-    if not _WORKER_TRACED and not _WORKER_SAMPLED:
-        return run_round(_WORKER_PROBLEM, state, moves), None, None
-    trace_cm = obs.tracing() if _WORKER_TRACED else None
-    tracer = trace_cm.__enter__() if trace_cm is not None else None
-    try:
-        state = run_round(_WORKER_PROBLEM, state, moves)
-    finally:
-        if trace_cm is not None:
-            trace_cm.__exit__(None, None, None)
-    res_buffer = None
-    if _WORKER_SAMPLED:
-        sampler = obs_resource.ResourceSampler()
-        sampler.note("portfolio round", chain=state.profile.chain_id)
-        res_buffer = sampler.export()
-    return state, tracer.export() if tracer is not None else None, res_buffer
 
 
 # -- the portfolio loop -------------------------------------------------------
@@ -207,82 +150,43 @@ def portfolio_extract(
 
         remaining = config.budgets()
         migrations: List[MigrationEvent] = []
-        workers = config.workers
-        if workers is None:
-            workers = min(config.chains, os.cpu_count() or 1)
-        # Whether the parent traces is pinned at pool creation: workers record
-        # spans into a local buffer and ship it back with each round's state,
-        # to be merged (pid-tagged records, chain args) at the barrier below.
-        pool = (
-            ProcessPoolExecutor(
-                workers,
-                initializer=_init_worker,
-                initargs=(problem, obs.tracing_enabled(), obs_resource.sampling_enabled()),
-            )
-            if workers > 1
-            else None
-        )
-        tracer = obs.current_tracer()
         sampler = obs_resource.current_sampler()
-
         round_index = 0
-        try:
-            while any(remaining):
-                batch = [
-                    (i, min(config.migrate_every, remaining[i]))
-                    for i in range(config.chains)
-                    if remaining[i] > 0
-                ]
-                with obs.span("portfolio round", category="extraction.round", round=round_index):
-                    if pool is not None:
-                        futures = [
-                            (i, pool.submit(_worker_round, states[i], moves)) for i, moves in batch
-                        ]
-                        for i, future in futures:
-                            states[i], buffer, res_buffer = future.result()
-                            if buffer and tracer is not None:
-                                tracer.merge(buffer)
-                            if res_buffer and sampler is not None:
-                                # Samples are chain-stamped worker-side; add
-                                # the barrier's round index here.
-                                sampler.merge(res_buffer, round=round_index)
-                    else:
-                        for i, moves in batch:
-                            states[i] = run_round(problem, states[i], moves)
-                            if sampler is not None:
-                                sampler.note(
-                                    "portfolio round",
-                                    chain=states[i].profile.chain_id,
-                                    round=round_index,
-                                )
-                    for i, moves in batch:
-                        remaining[i] -= moves
-                    round_index += 1
-                    if config.chains > 1:
-                        best_i = min(range(config.chains), key=lambda i: (states[i].best_cost, i))
-                        best = states[best_i]
-                        for i, state in enumerate(states):
-                            if i != best_i and state.current_cost > best.best_cost and remaining[i] > 0:
-                                states[i] = adopt_solution(state, best.best_choice, best.best_cost)
-                                migrations.append(
-                                    MigrationEvent(
-                                        round=round_index,
-                                        source_chain=best_i,
-                                        target_chain=i,
-                                        cost=best.best_cost,
-                                    )
-                                )
-                                obs.instant(
-                                    "migration",
-                                    category="extraction.migration",
+        while any(remaining):
+            batch = [
+                (i, min(config.migrate_every, remaining[i]))
+                for i in range(config.chains)
+                if remaining[i] > 0
+            ]
+            with obs.span("portfolio round", category="extraction.round", round=round_index):
+                for i, moves in batch:
+                    run_round(problem, states[i], moves)
+                    remaining[i] -= moves
+                    if sampler is not None:
+                        sampler.note("portfolio round", chain=i, round=round_index)
+                round_index += 1
+                if config.chains > 1:
+                    best_i = min(range(config.chains), key=lambda i: (states[i].best_cost, i))
+                    best = states[best_i]
+                    for i, state in enumerate(states):
+                        if i != best_i and state.current_cost > best.best_cost and remaining[i] > 0:
+                            adopt_solution(state, best.best_choice, best.best_cost)
+                            migrations.append(
+                                MigrationEvent(
                                     round=round_index,
                                     source_chain=best_i,
                                     target_chain=i,
                                     cost=best.best_cost,
                                 )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                            )
+                            obs.instant(
+                                "migration",
+                                category="extraction.migration",
+                                round=round_index,
+                                source_chain=best_i,
+                                target_chain=i,
+                                cost=best.best_cost,
+                            )
         portfolio_span.set("rounds", round_index)
         portfolio_span.set("migrations", len(migrations))
 
@@ -298,7 +202,6 @@ def portfolio_extract(
         migrations=migrations,
         move_budget=config.move_budget,
         migrate_every=config.migrate_every,
-        workers=workers,
         best_cost=chain_costs[best_chain],
         best_chain=best_chain,
         wall_time=time.perf_counter() - start,

@@ -1,12 +1,11 @@
 """The frozen extraction problem: the e-graph snapshot the engine works on.
 
 Extraction runs on a *frozen* e-graph (saturation has finished), so the
-engine front-loads every canonicalisation into one picklable, index-based
-structure: per-class candidate e-nodes with pre-resolved child class ids and
-pre-computed per-node costs.  Chains, evaluators, and worker processes all
-operate on plain ``int`` class ids and node indices — no ``EGraph`` and no
-``find`` calls on the hot path — and the whole problem crosses a
-``ProcessPoolExecutor`` boundary exactly once per worker.
+engine front-loads every canonicalisation into one index-based structure:
+per-class candidate e-nodes with pre-resolved child class ids and
+pre-computed per-node costs.  Chains and evaluators operate on plain
+``int`` class ids and node indices — no ``EGraph`` and no ``find`` calls on
+the hot path.
 
 Cycle safety is handled here too: :func:`toposort` orders the classes of a
 concrete extraction, and :meth:`FrozenProblem.flip_candidates` keeps, per

@@ -86,7 +86,6 @@ class ExtractionProfile:
     migrations: List[MigrationEvent] = field(default_factory=list)
     move_budget: int = 0
     migrate_every: int = 0
-    workers: int = 0
     best_cost: float = 0.0
     best_chain: int = 0
     wall_time: float = 0.0
@@ -134,7 +133,6 @@ class ExtractionProfile:
         return {
             "move_budget": self.move_budget,
             "migrate_every": self.migrate_every,
-            "workers": self.workers,
             "best_cost": self.best_cost,
             "best_chain": self.best_chain,
             "initial_cost": self.initial_cost,
@@ -153,13 +151,13 @@ class ExtractionProfile:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExtractionProfile":
         """Rebuild a profile from ``to_dict`` output; the constant
-        ``engine``/``evaluator`` keys of older payloads are ignored."""
+        ``engine``/``evaluator`` keys and the retired ``workers`` count of
+        older payloads are ignored."""
         return cls(
             chains=[ChainProfile.from_dict(chain) for chain in data.get("chains", [])],
             migrations=[MigrationEvent.from_dict(ev) for ev in data.get("migrations", [])],
             move_budget=int(data.get("move_budget", 0)),
             migrate_every=int(data.get("migrate_every", 0)),
-            workers=int(data.get("workers", 0)),
             best_cost=float(data.get("best_cost", 0.0)),
             best_chain=int(data.get("best_chain", 0)),
             wall_time=float(data.get("wall_time", 0.0)),

@@ -66,14 +66,14 @@ class EmorphicConfig:
     #: growing windows; "simple" searches every rule every iteration.
     scheduler: str = "backoff"
     dedup_matches: bool = True
-    # Extraction: the island-parallel delta-cost portfolio (chains guided by
+    # Extraction: the island-model delta-cost portfolio (chains guided by
     # the structural cost; every chain's best is mapped and the best kept).
     num_threads: int = 4  # portfolio chains
     migrate_every: int = 8  # moves between best-solution migrations
     sa_iterations: int = 4
     moves_per_iteration: int = 4
     seed: int = 7  # base seed of the chains (chain i runs chain_seed(seed, i))
-    extraction_cost: str = "depth"  # guiding cost inside Algorithm 1
+    extraction_cost: str = "depth"  # guiding cost name (extraction.cost.GUIDING_COSTS)
     # Cost model.
     use_ml_model: bool = False
     ml_model: Optional[HogaModel] = None
@@ -249,7 +249,7 @@ def emorphic_pipeline(config: Optional[EmorphicConfig] = None) -> "Pipeline":
                 "iters": config.sa_iterations,
                 "moves": config.moves_per_iteration,
                 "seed": config.seed,
-                "cost": config.extraction_cost if config.extraction_cost == "depth" else "nodes",
+                "cost": config.extraction_cost,
                 "use_ml": config.use_ml_model,
             },
             phase="extraction",

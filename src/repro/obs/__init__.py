@@ -5,7 +5,8 @@ One span/metrics substrate for every subsystem:
 * **spans** (:mod:`repro.obs.trace`) — hierarchical wall-clock scopes
   (``flow → pass → saturation iteration → rule search/apply/rebuild``,
   ``flow → pass → portfolio round → chain``) with counters attached; safe
-  across process pools via worker-local buffers merged at barriers;
+  across process pools via worker-local buffers merged at barriers
+  (:mod:`repro.obs.pool`);
 * **metrics** (:mod:`repro.obs.metrics`) — a process-local registry of
   counters/gauges with a Prometheus text exposition;
 * **exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON
@@ -20,6 +21,9 @@ One span/metrics substrate for every subsystem:
   campaign events (``emorphic batch --progress``);
 * **resource** (:mod:`repro.obs.resource`) — a gated sampler of peak RSS
   and per-iteration e-graph growth curves, cross-process like the tracer;
+* **pool** (:mod:`repro.obs.pool`) — the one worker-observer protocol of
+  the process pools (partition windows, campaign jobs): ``capture`` fresh
+  observers per task, ``merge`` their buffers at the barrier;
 * **ledger** (:mod:`repro.obs.ledger`) — a persistent append-only run
   ledger with rolling-baseline regression checks (``emorphic history``),
   rendered as static HTML by :mod:`repro.obs.report` (``emorphic report``).

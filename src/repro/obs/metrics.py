@@ -7,10 +7,10 @@ Prometheus-style text exposition (:func:`prometheus_text`, also available as
 ``# HELP`` / ``# TYPE`` / ``name{labels} value`` format, ready for a future
 ``emorphic serve`` ``/metrics`` endpoint.
 
-The registry is process-local on purpose: forked workers start from a fresh
-registry (the pool initializers call :func:`reset_registry`, mirroring the
-fresh-local-tracer rule — the inherited parent registry is never the channel
-back), publish into it, and ship :meth:`MetricsRegistry.export` buffers to
+The registry is process-local on purpose: pool tasks start from a fresh
+registry (:func:`repro.obs.pool.capture` calls :func:`reset_registry`,
+mirroring the fresh-local-tracer rule — the inherited parent registry is
+never the channel back), publish into it, and ship :meth:`MetricsRegistry.export` buffers to
 the parent, which folds them in with :meth:`MetricsRegistry.merge` at the
 same barriers where span buffers are merged: counters sum, gauges take the
 last write in merge order.

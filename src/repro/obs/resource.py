@@ -18,8 +18,8 @@ and embeds the finished :class:`ResourceSample` in the run's
 Cross-process safety follows the tracer exactly: workers install a *fresh*
 local sampler, run, and ship ``sampler.export()`` — a plain list of dicts,
 picklable — back to the parent, which grafts it with :meth:`ResourceSampler.
-merge` at the same barriers as trace spans (portfolio migration barriers,
-partition window collection, orchestrate job completion).  Every sample
+merge` at the same barriers as trace spans (partition window collection,
+orchestrate job completion; see :mod:`repro.obs.pool`).  Every sample
 carries the recording process's ``pid``; merge stamps extra tags (e.g.
 ``window=3``) with ``setdefault`` so worker-applied tags survive.
 """
@@ -69,7 +69,7 @@ class ResourceSample:
     ``curve`` is a list of per-iteration points
     ``{"iteration", "classes", "nodes", "adds", "unions"}`` (``adds`` and
     ``unions`` cumulative since the scope opened); RSS-only samples (e.g.
-    portfolio workers, which never grow an e-graph) have an empty curve.
+    portfolio rounds, which never grow an e-graph) have an empty curve.
     """
 
     __slots__ = ("label", "pid", "peak_rss_bytes", "adds", "unions", "curve", "extra")
@@ -185,7 +185,7 @@ class ResourceSampler:
         return sample
 
     def note(self, label: str, **extra) -> ResourceSample:
-        """Record a curve-less RSS watermark sample (e.g. a pool worker)."""
+        """Record a curve-less RSS watermark sample (e.g. a portfolio round)."""
         sample = ResourceSample(label, peak_rss=peak_rss_bytes(), extra=dict(extra))
         self.samples.append(sample)
         return sample

@@ -7,13 +7,12 @@ when tracing is off) and additionally records itself into the installed
 iteration → rule search/apply/rebuild`` — and carry free-form counters/gauges
 in ``args`` (``sp.add("matches", n)`` / ``sp.set("classes", n)``).
 
-Cross-process safety: worker processes (the extraction portfolio's chain
-pool, orchestrate's campaign pool) have no tracer installed, so their spans
-are timing-only no-ops *unless* the worker explicitly installs a local
-:class:`Tracer`, runs, and ships ``tracer.export()`` — a plain list of dicts,
-picklable — back to the parent, which grafts it into its own trace with
-:meth:`Tracer.merge` at a synchronisation barrier (portfolio migration
-barriers, orchestrate job completion).  Every record carries the recording
+Cross-process safety: a pool task (a partition window, an orchestrate
+campaign job) records into a worker-local :class:`Tracer` installed by
+:func:`repro.obs.pool.capture` and ships ``tracer.export()`` — a plain list
+of dicts, picklable — back to the parent, which grafts it into its own
+trace with :meth:`Tracer.merge` at a synchronisation barrier (window
+collection, job completion).  Every record carries the recording
 process's ``pid``, so merged traces keep their provenance.
 
 The tracer is deliberately single-threaded per process (one open-span stack);

@@ -27,6 +27,7 @@ from repro.aig.io_aiger import aag_to_string, read_aag
 from repro.benchgen import epfl
 from repro.flows.baseline import BaselineConfig, run_baseline_flow
 from repro.flows.emorphic import EmorphicConfig, run_emorphic_flow
+from repro.obs import pool as obs_pool
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -65,7 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 #:    ``p_random=``, ``temperature=``, ``pruned=`` and ``chains=``), so job
 #:    hashes change, and ExtractionProfile/ChainProfile payloads drop the
 #:    constant ``engine``/``evaluator`` fields.
-SCHEMA_VERSION = 10
+#: 11: portfolio chains run inline — the ``extract`` step loses ``workers=``
+#:    and ExtractionProfile payloads drop ``workers``.
+SCHEMA_VERSION = 11
 
 FLOWS = ("baseline", "emorphic", "pipeline")
 
@@ -239,19 +242,6 @@ def make_pipeline_job(
     return JobSpec(circuit=circuit, flow="pipeline", config=pipeline.to_spec(), tag=tag)
 
 
-# The default ML model is trained at most once per worker process and reused
-# by every ML-mode job the worker executes.
-_ML_MODEL_CACHE: Dict[int, object] = {}
-
-
-def _worker_ml_model(seed: int = 0):
-    if seed not in _ML_MODEL_CACHE:
-        from repro.costmodel.train import default_ml_model
-
-        _ML_MODEL_CACHE[seed] = default_ml_model(seed=seed)
-    return _ML_MODEL_CACHE[seed]
-
-
 def run_job(
     spec: JobSpec,
     key: Optional[str] = None,
@@ -264,50 +254,20 @@ def run_job(
 
     ``key`` is the precomputed job hash; when omitted it is derived from the
     spec (hashing re-renders the circuit content, so callers that already
-    hold the key should pass it).  ``traced=True`` (set by the executor when
-    the campaign parent traces) installs a job-local tracer and ships its
-    exported span buffer back under ``record["trace"]``; ``provenance=True``
-    does the same with a job-local provenance recorder under
-    ``record["provenance"]`` (and makes the result embed its attribution);
-    ``ship_metrics=True`` resets the worker registry before the job and ships
-    its counters under ``record["metrics"]``; ``sample_resources=True``
-    installs a job-local resource sampler and ships its sample buffer under
-    ``record["resource"]``.  The executor merges and strips all four before
-    the record is stored.
+    hold the key should pass it).  Any of the flags runs the job under
+    :func:`repro.obs.pool.capture` (as the executor's pool workers do): a
+    fresh registry whose counters ship under ``record["metrics"]``, plus a
+    job-local tracer (``traced``), provenance recorder (``provenance``, which
+    also makes the result embed its attribution) or resource sampler
+    (``sample_resources``) whose buffers ship under ``record["trace"]``,
+    ``record["provenance"]`` and ``record["resource"]``; ``ship_metrics``
+    asks for the counters alone.  The executor merges and strips all four
+    before the record is stored.
     """
     if traced or provenance or ship_metrics or sample_resources:
-        # Install *fresh* job-local observers: forked pool workers inherit
-        # the parent's tracer/recorder/registry objects, but state appended
-        # to those copies is never seen by the parent — the exported buffers
-        # are the only channel back.
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import provenance as obs_provenance
-        from repro.obs import resource as obs_resource
-
-        registry = obs_metrics.reset_registry() if ship_metrics else None
-        trace_cm = obs.tracing() if traced else None
-        prov_cm = obs_provenance.recording() if provenance else None
-        res_cm = obs_resource.sampling() if sample_resources else None
-        tracer = trace_cm.__enter__() if trace_cm is not None else None
-        recorder = prov_cm.__enter__() if prov_cm is not None else None
-        sampler = res_cm.__enter__() if res_cm is not None else None
-        try:
+        with obs_pool.capture(traced, provenance, sample_resources) as buffers:
             record = run_job(spec, key)
-        finally:
-            if res_cm is not None:
-                res_cm.__exit__(None, None, None)
-            if prov_cm is not None:
-                prov_cm.__exit__(None, None, None)
-            if trace_cm is not None:
-                trace_cm.__exit__(None, None, None)
-        if tracer is not None:
-            record["trace"] = tracer.export()
-        if recorder is not None:
-            record["provenance"] = recorder.export()
-        if registry is not None:
-            record["metrics"] = registry.export()
-        if sampler is not None:
-            record["resource"] = sampler.export()
+        record.update(buffers)
         return record
     aig = spec.circuit.build()
     # Wall-clock timestamp of the record (when the run happened); durations
@@ -322,10 +282,7 @@ def run_job(
 
             result = Pipeline.from_spec(spec.config).run_flow(aig)
         else:
-            config = EmorphicConfig.from_dict(spec.config)
-            if config.use_ml_model and config.ml_model is None:
-                config.ml_model = _worker_ml_model()
-            result = run_emorphic_flow(aig, config)
+            result = run_emorphic_flow(aig, EmorphicConfig.from_dict(spec.config))
     wall_time = time.perf_counter() - t0
     return {
         "schema": SCHEMA_VERSION,

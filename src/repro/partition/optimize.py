@@ -13,16 +13,14 @@ run fail-soft and sound:
   ANDs at lower depth) is reverted (``status="reverted_no_gain"``) so
   stitching never degrades the host.
 
-Parallelism follows the extraction portfolio's idiom: windows ship to a
-``ProcessPoolExecutor`` whose initializer pins whether the parent traces and
-records provenance or samples resources (and resets the forked metrics
-registry); workers record spans/provenance/resource samples into
-worker-local observers and publish counters into a per-task registry,
-returning all four exported buffers with each result, and the parent merges
-them **in window-index order** at the barrier (pid-tagged, stamped with the
-window index; counters sum).  Results
-are a pure function of ``(aig, configs)``: ``workers=0`` (inline) and any
-pool size produce identical stitched circuits, reports, and profiles modulo
+Parallelism: windows ship to a ``ProcessPoolExecutor``; each task runs
+under :func:`repro.obs.pool.capture` (worker-local observers for the ones
+the parent has installed, plus a per-task metrics registry) and returns the
+exported buffers with its result, and the parent merges them with
+:func:`repro.obs.pool.merge` **in window-index order** at the barrier
+(pid-tagged, stamped with the window index; counters sum).  Results are a
+pure function of ``(aig, configs)``: ``workers=0`` (inline) and any pool
+size produce identical stitched circuits, reports, and profiles modulo
 wall-clock fields.
 
 Seeding: window ``i`` extracts with :func:`window_seed`\\ ``(seed, i)`` — a
@@ -37,7 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.aig.graph import Aig
 from repro.aig.levels import logic_depth
@@ -45,10 +43,10 @@ from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost
+from repro.extraction.cost import guiding_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
-from repro.obs import metrics as obs_metrics
+from repro.obs import pool as obs_pool
 from repro.obs import provenance as obs_provenance
 from repro.obs import resource as obs_resource
 from repro.obs import trace as obs
@@ -81,14 +79,14 @@ class WindowOptConfig:
     method: str = "sa"  # "sa" (portfolio) | "greedy"
     chains: int = 2
     moves: int = 64
-    cost: str = "depth"  # "depth" | "nodes"
+    cost: str = "depth"  # a ``GUIDING_COSTS`` name
     seed: int = 7
     # per-window CEC guard
     sim_words: int = 8
     conflict_budget: int = 50_000
 
-    def guiding_cost(self):
-        return DepthCost() if self.cost == "depth" else NodeCountCost()
+    def __post_init__(self) -> None:
+        guiding_cost(self.cost)  # reject an unknown cost name up front
 
 
 @dataclass(frozen=True)
@@ -180,19 +178,19 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
             report.saturation_stop = sat_profile.stop_reason
             report.saturation_iterations = sat_profile.num_iterations
             report.egraph_nodes = sat_profile.final_nodes
+            cost = guiding_cost(cfg.cost)
             if cfg.method == "greedy":
-                extraction = greedy_extract(circuit.egraph, cost=cfg.guiding_cost())
+                extraction = greedy_extract(circuit.egraph, cost=cost)
             else:
                 result = portfolio_extract(
                     circuit.egraph,
                     list(circuit.output_classes),
-                    cost=cfg.guiding_cost(),
+                    cost=cost,
                     config=PortfolioConfig(
                         chains=cfg.chains,
                         move_budget=cfg.moves,
                         migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
                         seed=window_seed(cfg.seed, index),
-                        workers=0,
                     ),
                     seed_solution=circuit.original_extraction(),
                 )
@@ -241,58 +239,15 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
     return report, optimized
 
 
-# -- worker-side state (pool initializer idiom, as in the extraction portfolio)
-
-_WORKER_TRACED: bool = False
-_WORKER_PROVENANCE: bool = False
-_WORKER_SAMPLED: bool = False
-
-
-def _init_worker(traced: bool = False, provenance: bool = False, sampled: bool = False) -> None:
-    global _WORKER_TRACED, _WORKER_PROVENANCE, _WORKER_SAMPLED
-    _WORKER_TRACED = traced
-    _WORKER_PROVENANCE = provenance
-    _WORKER_SAMPLED = sampled
-    # Forked workers inherit a copy of the parent's metrics registry; like the
-    # fresh-local-tracer rule, they must never publish into it (counters are
-    # shipped back per task and merged at the barrier instead).
-    obs_metrics.reset_registry()
-
-
 def _worker_optimize(
-    index: int, sub: Aig, cfg: WindowOptConfig
-) -> Tuple[
-    WindowReport, Optional[Aig], Optional[list], Optional[dict], Optional[list], Optional[list]
-]:
-    """Pool entry point: optimize one window, shipping the trace span,
-    provenance, metrics, and resource buffers back with the result."""
-    # Fresh registry per task, not just per worker: pool processes are reused
-    # across windows, and shipping a cumulative registry every task would
-    # double-count earlier windows at the merge.
-    registry = obs_metrics.reset_registry()
-    trace_cm = obs.tracing() if _WORKER_TRACED else None
-    prov_cm = obs_provenance.recording() if _WORKER_PROVENANCE else None
-    res_cm = obs_resource.sampling() if _WORKER_SAMPLED else None
-    tracer = trace_cm.__enter__() if trace_cm is not None else None
-    recorder = prov_cm.__enter__() if prov_cm is not None else None
-    sampler = res_cm.__enter__() if res_cm is not None else None
-    try:
+    index: int, sub: Aig, cfg: WindowOptConfig, observed: Tuple[bool, bool, bool]
+) -> Tuple[WindowReport, Optional[Aig], Dict[str, object]]:
+    """Pool entry point: optimize one window under worker-local observers
+    (``observed`` is the parent's :func:`repro.obs.pool.installed`), shipping
+    their buffers back with the result."""
+    with obs_pool.capture(*observed) as buffers:
         report, optimized = optimize_window(index, sub, cfg)
-    finally:
-        if res_cm is not None:
-            res_cm.__exit__(None, None, None)
-        if prov_cm is not None:
-            prov_cm.__exit__(None, None, None)
-        if trace_cm is not None:
-            trace_cm.__exit__(None, None, None)
-    return (
-        report,
-        optimized,
-        (tracer.export() or None) if tracer is not None else None,
-        recorder.export() if recorder is not None and recorder.nodes else None,
-        registry.export() or None,
-        sampler.export() or None if sampler is not None else None,
-    )
+    return report, optimized, buffers
 
 
 def partitioned_optimize(
@@ -335,42 +290,20 @@ def partitioned_optimize(
     t0 = time.perf_counter()
     reports: List[Optional[WindowReport]] = [None] * len(windows)
     optimized: List[Optional[Aig]] = [None] * len(windows)
-    tracer = obs.current_tracer()
-    recorder = obs_provenance.current_recorder()
-    sampler = obs_resource.current_sampler()
     with obs.span("optimize windows", category="partition", windows=len(windows)):
         if partition.workers > 0 and len(windows) > 1:
-            with ProcessPoolExecutor(
-                partition.workers,
-                initializer=_init_worker,
-                initargs=(
-                    obs.tracing_enabled(),
-                    obs_provenance.recording_enabled(),
-                    obs_resource.sampling_enabled(),
-                ),
-            ) as pool:
+            observed = obs_pool.installed()
+            with ProcessPoolExecutor(partition.workers) as pool:
                 futures = [
-                    pool.submit(_worker_optimize, w.index, w.aig, window_cfg) for w in windows
+                    pool.submit(_worker_optimize, w.index, w.aig, window_cfg, observed)
+                    for w in windows
                 ]
-                # Collect (and merge trace/provenance/metrics/resource
-                # buffers) in window-index order so observability output is
-                # deterministic regardless of completion order.
+                # Collect (and merge observer buffers) in window-index order
+                # so observability output is deterministic regardless of
+                # completion order.
                 for w, future in zip(windows, futures):
-                    report, opt, buffer, prov_buffer, metrics_buffer, res_buffer = (
-                        future.result()
-                    )
-                    reports[w.index] = report
-                    optimized[w.index] = opt
-                    if buffer and tracer is not None:
-                        tracer.merge(buffer, window=w.index)
-                    if prov_buffer and recorder is not None:
-                        # Records are already window-stamped worker-side.
-                        recorder.merge(prov_buffer)
-                    if metrics_buffer:
-                        obs_metrics.registry().merge(metrics_buffer)
-                    if res_buffer and sampler is not None:
-                        # Samples are already window-stamped worker-side.
-                        sampler.merge(res_buffer)
+                    reports[w.index], optimized[w.index], buffers = future.result()
+                    obs_pool.merge(buffers, window=w.index)
         else:
             for w in windows:
                 reports[w.index], optimized[w.index] = optimize_window(w.index, w.aig, window_cfg)

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
 from repro.egraph.rules import boolean_rules
 from repro.engine import SCHEDULERS, EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost
+from repro.costmodel.train import default_ml_model
+from repro.extraction.cost import guiding_cost
 from repro.extraction.engine import PortfolioConfig, portfolio_extract
 from repro.extraction.greedy import greedy_extract
 from repro.extraction.random_extract import random_extract
@@ -58,19 +58,6 @@ from repro.pipeline.values import render_value
 from repro.verify.cec import check_equivalence
 
 EXTRACT_METHODS = ("sa", "greedy", "random")
-
-
-@lru_cache(maxsize=1)
-def _default_ml_model():
-    """Train the default learned cost model at most once per process.
-
-    Backs ``extract(use_ml=true)`` when the context carries no model — the
-    scripted-pipeline analogue of what ``emorphic run --use-ml-model`` and
-    the orchestration workers do for the emorphic flow.
-    """
-    from repro.costmodel.train import default_ml_model
-
-    return default_ml_model()
 
 
 @dataclass(frozen=True)
@@ -305,7 +292,6 @@ def _pass_extract(
     method: str = "sa",
     threads: int = 4,
     migrate_every: int = 0,
-    workers: int = 0,
     iters: int = 4,
     moves: int = 4,
     seed: int = 7,
@@ -314,14 +300,12 @@ def _pass_extract(
 ) -> None:
     """E-graph extraction.
 
-    ``method="sa"`` runs the island-parallel portfolio with delta-cost move
-    evaluation: ``threads`` chains, each with ``iters * moves`` moves — the
-    structural ``cost`` guides the chains and the expensive QoR evaluator
-    (mapping, or the learned model with ``use_ml``) scores only each chain's
-    best extraction.  ``workers=0`` (the default) runs the chains inline —
-    at flow-scale move budgets pool startup would dominate, and orchestrate
-    campaigns already parallelise across jobs; results are identical either
-    way, so ``workers=N`` is purely a throughput knob for big budgets.
+    ``method="sa"`` runs the island portfolio with delta-cost move
+    evaluation: ``threads`` chains, each with ``iters * moves`` moves, run
+    inline and synchronised every ``migrate_every`` moves (0 = half a
+    chain's budget).  The structural ``cost`` guides the chains and the
+    expensive QoR evaluator (mapping, or the learned model with ``use_ml``)
+    scores only each chain's best extraction.
 
     After a ``partition`` pass the parameters are *staged* into the pending
     plan (applied per window when ``stitch`` runs); only ``sa`` (portfolio)
@@ -331,6 +315,12 @@ def _pass_extract(
         raise PipelineError(
             f"unknown extraction method {method!r}; choose from {', '.join(EXTRACT_METHODS)}"
         )
+    if threads < 1:
+        raise PipelineError("extract needs threads >= 1")
+    for name, value in (("iters", iters), ("moves", moves), ("migrate_every", migrate_every)):
+        if value < 0:
+            raise PipelineError(f"extract needs {name} >= 0")
+    guiding = guiding_cost(cost)
     plan = ctx.partition_plan
     if plan is not None:
         if method == "random":
@@ -349,12 +339,11 @@ def _pass_extract(
         ctx.metrics["extraction_staged"] = True
         return
     circuit = ctx.require_egraph("extract")
-    guiding = DepthCost() if cost == "depth" else NodeCountCost()
 
     if method == "sa":
         model = None
         if use_ml:
-            model = ctx.ml_model if ctx.ml_model is not None else _default_ml_model()
+            model = ctx.ml_model if ctx.ml_model is not None else default_ml_model()
         ctx.metrics["extraction_evaluator"] = "ml" if model is not None else "mapping"
         final_selector = None
         if model is not None:
@@ -370,7 +359,6 @@ def _pass_extract(
             move_budget=iters * moves * threads,
             migrate_every=migrate_every or max(1, (iters * moves) // 2),
             seed=seed,
-            workers=workers,
         )
         result = portfolio_extract(
             circuit.egraph,

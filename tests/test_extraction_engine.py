@@ -129,10 +129,10 @@ class TestDeltaFullParity:
         cost, extraction and best-cost curve whether its flips are priced by
         the delta evaluator or by the full re-derivation oracle."""
         _, circuit = _random_saturated(circuit_seed)
-        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11, workers=0)
+        config = PortfolioConfig(chains=1, move_budget=96, migrate_every=24, seed=11)
         results = {}
         for name, evaluator in (("delta", DeltaCostEvaluator), ("full", FullCostEvaluator)):
-            # Inline rounds (workers=0) see the patched module attribute.
+            # Rounds run inline, so they see the patched module attribute.
             monkeypatch.setattr(engine_chains, "DeltaCostEvaluator", evaluator)
             results[name] = portfolio_extract(
                 circuit.egraph,
@@ -173,7 +173,7 @@ class TestDeltaFullParity:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=1, move_budget=32, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=1, move_budget=32, migrate_every=8),
         )
         # A delta move touches a cone, not the whole class set.
         assert 0 < result.profile.mean_cone() < circuit.egraph.num_classes / 4
@@ -191,7 +191,7 @@ class TestGreedyDepthFloor:
             circuit.egraph,
             circuit.output_classes,
             cost=cost,
-            config=PortfolioConfig(chains=4, move_budget=192, migrate_every=16, seed=11, workers=0),
+            config=PortfolioConfig(chains=4, move_budget=192, migrate_every=16, seed=11),
             seed_solution=circuit.original_extraction(),
         )
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
@@ -207,7 +207,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=3, move_budget=48, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=3, move_budget=48, migrate_every=8),
             seed_solution=circuit.original_extraction(),
         )
         back = extraction_to_aig(circuit, result.extraction)
@@ -222,25 +222,9 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=32, migrate_every=8),
         )
         assert result.cost <= result.profile.initial_cost + 1e-9
-
-    def test_inline_and_process_pool_agree(self, saturated_circuit):
-        """Cross-process determinism: the pool is throughput, not semantics."""
-        _, circuit = saturated_circuit
-        outcomes = []
-        for workers in (0, 2):
-            result = portfolio_extract(
-                circuit.egraph,
-                circuit.output_classes,
-                cost=DepthCost(),
-                config=PortfolioConfig(
-                    chains=2, move_budget=24, migrate_every=8, seed=13, workers=workers
-                ),
-            )
-            outcomes.append((result.cost, result.extraction))
-        assert outcomes[0] == outcomes[1]
 
     def test_deterministic_per_seed(self, saturated_circuit):
         _, circuit = saturated_circuit
@@ -249,7 +233,7 @@ class TestPortfolio:
                 circuit.egraph,
                 circuit.output_classes,
                 cost=NodeCountCost(),
-                config=PortfolioConfig(chains=2, move_budget=24, migrate_every=8, seed=9, workers=0),
+                config=PortfolioConfig(chains=2, move_budget=24, migrate_every=8, seed=9),
             )
             for _ in range(2)
         ]
@@ -262,7 +246,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=3, move_budget=24, migrate_every=8, seed=5, workers=0),
+            config=PortfolioConfig(chains=3, move_budget=24, migrate_every=8, seed=5),
         )
         seeds = [chain.seed for chain in result.profile.chains]
         assert seeds == [chain_seed(5, i) for i in range(3)]
@@ -281,7 +265,7 @@ class TestPortfolio:
             circuit.output_classes,
             cost=NodeCountCost(),
             config=PortfolioConfig(
-                chains=2, move_budget=64, migrate_every=8, seed=3, workers=0, chain_specs=specs
+                chains=2, move_budget=64, migrate_every=8, seed=3, chain_specs=specs
             ),
         )
         assert result.profile.migrations
@@ -302,7 +286,7 @@ class TestPortfolio:
             circuit.egraph,
             circuit.output_classes,
             cost=NodeCountCost(),
-            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8),
             final_selector=selector,
         )
         assert len(calls) == 2
@@ -314,12 +298,12 @@ class TestPortfolio:
         nothing but the round structure."""
         _, circuit = saturated_circuit
         cost = DepthCost()
-        config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21, workers=0)
+        config = PortfolioConfig(chains=1, move_budget=24, migrate_every=8, seed=21)
         result = portfolio_extract(circuit.egraph, circuit.output_classes, cost=cost, config=config)
         problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
         state = init_chain(problem, config.spec_for(0), chain_seed(21, 0), greedy=problem.greedy_choice())
         for _ in range(3):
-            state = run_round(problem, state, 8)
+            run_round(problem, state, 8)
         assert state.best_cost == result.cost
         assert problem.extraction_from_choice(state.best_choice) == result.extraction
 
@@ -348,7 +332,7 @@ class TestTelemetry:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=2, move_budget=16, migrate_every=8),
         )
         payload = result.profile.to_dict()
         text = json.dumps(payload)  # must be plain JSON
@@ -364,7 +348,7 @@ class TestTelemetry:
             circuit.egraph,
             circuit.output_classes,
             cost=DepthCost(),
-            config=PortfolioConfig(chains=1, move_budget=24, migrate_every=8, workers=0),
+            config=PortfolioConfig(chains=1, move_budget=24, migrate_every=8),
         )
         chain = result.profile.chains[0]
         assert len(chain.best_curve) == 1 + 3  # initial + one entry per round

@@ -151,3 +151,28 @@ class TestUnverifiedExitStatus:
 
     def test_equivalent_run_succeeds(self):
         assert main(["pipeline", "-c", "mem_ctrl", "--preset", "test", "--script", "st; balance; cec", "--no-ledger"]) == 0
+
+
+class TestRunTimePipelineErrors:
+    """A ``PipelineError`` raised while the pipeline runs exits like a parse
+    error: one ``pipeline error: ...`` line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("st; map; extract", "needs a circuit e-graph"),
+            ("st; dag2eg; extract(bogus)", "unknown extraction method 'bogus'"),
+            ("st; dag2eg; extract(cost=area)", "unknown extraction cost 'area'"),
+        ],
+    )
+    def test_scripted_commands_exit_cleanly(self, script, message):
+        circuit = ["-c", "mem_ctrl", "--preset", "test"]
+        for argv in (
+            ["pipeline", *circuit, "--script", script, "--no-ledger"],
+            ["trace", script, *circuit],
+            ["explain", script, *circuit],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert str(excinfo.value.code).startswith("pipeline error: ")
+            assert message in str(excinfo.value.code)

@@ -59,10 +59,14 @@ class TestScriptParsing:
             parse_script("saturate(bogus=1)")
 
     def test_pipeline_rejects_retired_extract_params(self):
-        # The portfolio is the only extractor: the engine choice and the
-        # knobs only the full-sweep SA loop read are gone from the DSL.
-        accepted = "accepted: cost, iters, method, migrate_every, moves, seed, threads, use_ml, workers"
-        for retired in ("engine=legacy", "p_random=0.1", "temperature=2000", "pruned=true", "chains=2"):
+        # The portfolio is the only extractor: the engine choice, the knobs
+        # only the full-sweep SA loop read, and the chains' process pool are
+        # gone from the DSL.
+        accepted = "accepted: cost, iters, method, migrate_every, moves, seed, threads, use_ml$"
+        retired_params = (
+            "engine=legacy", "p_random=0.1", "temperature=2000", "pruned=true", "chains=2", "workers=2"
+        )
+        for retired in retired_params:
             with pytest.raises(PipelineError, match=accepted):
                 Pipeline.from_script(f"strash; dag2eg; extract({retired})")
 
@@ -254,6 +258,39 @@ class TestPipelineExecution:
         result = Pipeline.from_script(script).run_flow(small_mem_ctrl)
         assert result.metrics["extraction_evaluator"] == ("ml" if use_ml else "mapping")
         assert result.mapping is not None
+
+
+class TestExtractParamErrors:
+    def test_unknown_cost_rejected_everywhere(self, small_mem_ctrl):
+        # One resolver behind the pass, the partition window config and the
+        # emorphic flow: an unknown name fails, never falls back to nodes.
+        from repro.partition import WindowOptConfig
+
+        message = "unknown extraction cost 'area'; choose from depth, nodes"
+        with pytest.raises(PipelineError, match=message):
+            Pipeline.from_script("st; dag2eg; extract(cost=area)").run_flow(small_mem_ctrl)
+        with pytest.raises(PipelineError, match=message):
+            Pipeline.from_script("st; partition(k=30); extract(cost=area); stitch").run_flow(
+                small_mem_ctrl
+            )
+        with pytest.raises(PipelineError, match=message):
+            WindowOptConfig(cost="area")
+        with pytest.raises(PipelineError, match=message):
+            emorphic_pipeline(EmorphicConfig(extraction_cost="area")).run(small_mem_ctrl)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("threads=0", "threads >= 1"),
+            ("iters=-1", "iters >= 0"),
+            ("moves=-1", "moves >= 0"),
+            ("iters=-1, moves=-4", "iters >= 0"),  # the product alone is positive
+            ("migrate_every=-1", "migrate_every >= 0"),
+        ],
+    )
+    def test_bad_numbers_rejected(self, small_mem_ctrl, params, message):
+        with pytest.raises(PipelineError, match=f"extract needs {message}"):
+            Pipeline.from_script(f"st; dag2eg; extract({params})").run_flow(small_mem_ctrl)
 
 
 class TestFlowsAsPipelines:
