@@ -5,9 +5,14 @@ per-chain schedule, a zero-temperature hill climber, or a random-restart
 annealer.  Chains run in *rounds* of ``migrate_every`` moves: a round
 advances one :class:`ChainState` in place — the state carries the choice,
 the chain's own ``random.Random``, and the telemetry counters — and every
-round rebuilds the evaluator (topological order, flip candidates, cost
-caches) from the bare choice, so a migration between rounds only has to
-swap the choice.
+round rebuilds its working state from the bare choice, so a migration
+between rounds only has to swap the choice.
+
+What a round rebuilds is only what depends on the choice: one topological
+walk, the root-reachable set, cycle-safe flip candidates for the reachable
+classes (the only ones it flips), and the cost evaluator.  Everything that
+depends on the e-graph alone — candidates, costs, the ``users`` index —
+lives in the :class:`FrozenProblem`, built once per extraction.
 
 Chain kinds:
 
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.extraction.engine.delta import DeltaCostEvaluator, choice_cost
 from repro.extraction.engine.problem import Choice, FrozenProblem
@@ -114,21 +119,22 @@ def init_chain(
     )
 
 
-def _flippable(problem: FrozenProblem, choice: Choice, safe: Dict[int, list]) -> list:
-    """Classes worth proposing flips on: cycle-safe alternatives exist AND the
-    class is reachable from the roots under the current choice — flipping an
-    unreachable class cannot change the cost, so the budget concentrates on
-    classes the objective can see.  Recomputed per round (reachability drifts
-    as flips land), deterministic (ascending class ids)."""
-    reachable = set()
-    stack = list(problem.roots)
-    while stack:
-        cid = stack.pop()
-        if cid in reachable:
-            continue
-        reachable.add(cid)
-        stack.extend(problem.children[cid][choice[cid]])
-    return [cid for cid in sorted(reachable) if len(safe.get(cid, ())) > 1]
+def _flippable(
+    problem: FrozenProblem, choice: Choice, order: Dict[int, int]
+) -> Tuple[List[int], Dict[int, List[int]]]:
+    """Classes worth proposing flips on, and their cycle-safe candidates.
+
+    A class qualifies when it is reachable from the roots under the current
+    choice AND has a cycle-safe alternative — flipping an unreachable class
+    cannot change the cost, so the budget concentrates on classes the
+    objective can see.  Candidates are derived for the reachable classes
+    only (a few hundred of the e-graph's thousands); a class that drops out
+    of reach mid-round keeps its candidates, which stay cycle-safe under
+    ``order``.  Recomputed per round (reachability drifts as flips land),
+    deterministic (ascending class ids)."""
+    reachable = problem.reachable(choice)
+    safe = problem.flip_candidates(order, reachable)
+    return [cid for cid in sorted(reachable) if len(safe[cid]) > 1], safe
 
 
 def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> None:
@@ -151,8 +157,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> None:
         rng = state.rng
 
         order = problem.toposort(state.choice)
-        safe = problem.flip_candidates(order)
-        flippable = _flippable(problem, state.choice, safe)
+        flippable, safe = _flippable(problem, state.choice, order)
         evaluator = DeltaCostEvaluator(problem, state.choice, order=order)
         current = evaluator.cost
 
@@ -200,8 +205,7 @@ def run_round(problem: FrozenProblem, state: ChainState, moves: int) -> None:
                 temperature = spec.temperature
                 fresh = problem.random_choice(rng, fallback=best_choice)
                 order = problem.toposort(fresh)
-                safe = problem.flip_candidates(order)
-                flippable = _flippable(problem, fresh, safe)
+                flippable, safe = _flippable(problem, fresh, order)
                 evals, touched = evaluator.evals, evaluator.touched
                 evaluator = DeltaCostEvaluator(problem, fresh, order=order)
                 evaluator.evals, evaluator.touched = evals, touched

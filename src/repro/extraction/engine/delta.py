@@ -3,10 +3,10 @@
 The engine's move is a *flip* (one class changes its chosen e-node), and
 :class:`DeltaCostEvaluator` prices it without a whole-graph sweep: it keeps
 the cost decomposition live between moves (reference counts of the
-extracted DAG in ``sum`` mode, per-class depths plus an extraction-parent
-map in ``depth`` mode) so a flip re-evaluates only the ancestor cone of the
-flipped class.  :func:`choice_cost` is the from-scratch cost the chains
-start from.
+extracted DAG in ``sum`` mode, per-class depths in ``depth`` mode, with
+extraction parents read off the problem's static ``users`` index) so a flip
+re-evaluates only the ancestor cone of the flipped class.  :func:`choice_cost`
+is the from-scratch cost the chains start from.
 
 A flip evaluates to the *identical* float a from-scratch re-derivation gives
 whenever per-node costs are integer-valued (the default
@@ -37,14 +37,7 @@ def choice_cost(problem: FrozenProblem, choice: Choice) -> float:
     from any root.
     """
     if problem.mode == "sum":
-        reachable = set()
-        stack = list(problem.roots)
-        while stack:
-            cid = stack.pop()
-            if cid in reachable:
-                continue
-            reachable.add(cid)
-            stack.extend(problem.children[cid][choice[cid]])
+        reachable = problem.reachable(choice)
         return sum(problem.node_costs[cid][choice[cid]] for cid in reachable)
 
     memo: Dict[int, float] = {}
@@ -66,6 +59,18 @@ def choice_cost(problem: FrozenProblem, choice: Choice) -> float:
     return max((memo[r] for r in problem.roots), default=0.0)
 
 
+def _deepest(depth: Dict[int, float], kids) -> float:
+    """``max`` of the children's depths (0.0 for a leaf), without building a
+    list per class."""
+    deepest = 0.0
+    if kids:
+        deepest = depth[kids[0]]
+        for ch in kids:
+            if depth[ch] > deepest:
+                deepest = depth[ch]
+    return deepest
+
+
 class DeltaCostEvaluator:
     """Incremental evaluator: a flip touches only the flipped class's cone.
 
@@ -73,8 +78,8 @@ class DeltaCostEvaluator:
     DAG (multiplicity-aware, like ABC's deref/ref node counting): a flip
     adjusts the flipped class's own contribution and cascades references into
     subgraphs that (dis)appear.  ``depth`` mode maintains per-class depths
-    plus an extraction-parent multimap and re-propagates depth changes
-    upward in topological order.
+    and re-propagates depth changes upward in topological order, to the
+    users of a changed class whose chosen node reads it.
 
     ``evals`` counts flips; ``touched`` counts the classes whose cached cost
     contribution was re-derived (the cone sizes behind the telemetry's
@@ -152,53 +157,48 @@ class DeltaCostEvaluator:
     # -- depth mode ---------------------------------------------------------
 
     def _init_depth(self) -> None:
-        self._depth: Dict[int, float] = {}
-        self._parents: Dict[int, Dict[int, int]] = {cid: {} for cid in self._order}
-        for cid in sorted(self._order, key=self._order.__getitem__):
-            kids = self.problem.children[cid][self.choice[cid]]
-            child_depths = [self._depth[ch] for ch in kids]
-            self._depth[cid] = self.problem.node_costs[cid][self.choice[cid]] + (
-                max(child_depths) if child_depths else 0.0
-            )
-            for ch in kids:
-                counts = self._parents[ch]
-                counts[cid] = counts.get(cid, 0) + 1
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+        # ``toposort`` fills ``order`` children first, so its insertion order
+        # is already topological: one walk, no sort.  There is no parent map
+        # to build — propagation reads the problem's static ``users`` index.
+        children = self.problem.children
+        node_costs = self.problem.node_costs
+        choice = self.choice
+        depth: Dict[int, float] = {}
+        for cid in self._order:
+            idx = choice[cid]
+            depth[cid] = node_costs[cid][idx] + _deepest(depth, children[cid][idx])
+        self._depth = depth
+        self.cost = max((depth[r] for r in self.problem.roots), default=0.0)
 
     def _flip_depth(self, cid: int, node_idx: int) -> float:
-        old_idx = self.choice[cid]
-        for ch in self.problem.children[cid][old_idx]:
-            counts = self._parents[ch]
-            counts[cid] -= 1
-            if not counts[cid]:
-                del counts[cid]
-        for ch in self.problem.children[cid][node_idx]:
-            counts = self._parents[ch]
-            counts[cid] = counts.get(cid, 0) + 1
         self.choice[cid] = node_idx
         # Propagate depth changes upward in topological order: a parent is
         # always re-derived after every changed child (parents sit strictly
         # later in the order), so each class settles in one recomputation.
+        # The extraction parents of a class are its static users whose
+        # chosen node is the one that uses it.
+        choice = self.choice
+        children = self.problem.children
+        node_costs = self.problem.node_costs
+        users = self.problem.users
+        depth = self._depth
         order = self._order
         heap: List[tuple] = [(order[cid], cid)]
         queued = {cid}
         while heap:
             _, current = heapq.heappop(heap)
             queued.discard(current)
-            kids = self.problem.children[current][self.choice[current]]
-            child_depths = [self._depth[ch] for ch in kids]
-            new_depth = self.problem.node_costs[current][self.choice[current]] + (
-                max(child_depths) if child_depths else 0.0
-            )
+            idx = choice[current]
+            new_depth = node_costs[current][idx] + _deepest(depth, children[current][idx])
             self.touched += 1
-            if new_depth == self._depth[current]:
+            if new_depth == depth[current]:
                 continue
-            self._depth[current] = new_depth
-            for parent in self._parents[current]:
-                if parent not in queued:
+            depth[current] = new_depth
+            for parent, i in users.get(current, ()):
+                if choice.get(parent) == i and parent not in queued:
                     queued.add(parent)
                     heapq.heappush(heap, (order[parent], parent))
-        self.cost = max((self._depth[r] for r in self.problem.roots), default=0.0)
+        self.cost = max((depth[r] for r in self.problem.roots), default=0.0)
         return self.cost
 
     # -- dispatch -----------------------------------------------------------

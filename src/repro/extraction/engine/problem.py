@@ -3,9 +3,11 @@
 Extraction runs on a *frozen* e-graph (saturation has finished), so the
 engine front-loads every canonicalisation into one index-based structure:
 per-class candidate e-nodes with pre-resolved child class ids and
-pre-computed per-node costs.  Chains and evaluators operate on plain
-``int`` class ids and node indices — no ``EGraph`` and no ``find`` calls on
-the hot path.
+pre-computed per-node costs, plus a static ``users`` index (which nodes
+read each class).  Chains and evaluators operate on plain ``int`` class ids
+and node indices — no ``EGraph`` and no ``find`` calls on the hot path —
+and the initial solutions are worklists over ``users``, not sweeps over
+every class.
 
 Cycle safety is handled here too: :func:`toposort` orders the classes of a
 concrete extraction, and :meth:`FrozenProblem.flip_candidates` keeps, per
@@ -17,9 +19,10 @@ extraction, so the move loop needs no per-move cycle check (see
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.egraph.egraph import EGraph, ENode
 from repro.extraction.cost import CostFunction, NodeCountCost
@@ -38,6 +41,12 @@ class FrozenProblem:
     is the cost aggregation ("sum" counts every reachable class once, DAG
     semantics; "depth" is the longest root-to-leaf path), matching
     :func:`repro.extraction.cost.extraction_cost` exactly.
+
+    Derived once from ``children`` (it depends only on the e-graph):
+    ``class_ids`` in ascending order, and ``users[ch]``, the
+    ``(parent class, node index)`` pairs of every node that has ``ch`` among
+    its distinct children.  The worklist starts and the depth evaluator walk
+    ``users`` instead of re-sweeping every class.
     """
 
     nodes: Dict[int, List[ENode]]
@@ -45,6 +54,32 @@ class FrozenProblem:
     node_costs: Dict[int, List[float]]
     roots: List[int]
     mode: str = "sum"
+    class_ids: List[int] = field(init=False, repr=False)
+    users: Dict[int, List[Tuple[int, int]]] = field(init=False, repr=False)
+    #: Per-node tables are flat, class by class: node ``i`` of class ``cid``
+    #: sits at ``_first_node[cid] + i``.  ``_arity`` counts its distinct
+    #: child classes; ``_leaf_classes`` (ascending) have a childless node.
+    _first_node: Dict[int, int] = field(init=False, repr=False)
+    _arity: List[int] = field(init=False, repr=False)
+    _leaf_classes: List[int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.class_ids = sorted(self.nodes)
+        self.users = {}
+        self._first_node = {}
+        self._arity = []
+        self._leaf_classes = []
+        for cid in self.class_ids:
+            self._first_node[cid] = len(self._arity)
+            class_kids = self.children[cid]
+            if not all(class_kids):
+                self._leaf_classes.append(cid)
+            for i, kids in enumerate(class_kids):
+                distinct = set(kids) if len(kids) > 1 else kids
+                self._arity.append(len(distinct))
+                entry = (cid, i)
+                for ch in distinct:
+                    self.users.setdefault(ch, []).append(entry)
 
     @classmethod
     def build(
@@ -54,24 +89,31 @@ class FrozenProblem:
         cost: Optional[CostFunction] = None,
     ) -> "FrozenProblem":
         cost = cost or NodeCountCost()
+        node_cost = cost.node_cost
+        uf = egraph.union_find
+        # Every id resolved once; the e-graph is frozen, so the table stays valid.
+        canon = [uf.find(i) for i in range(len(uf))]
         nodes: Dict[int, List[ENode]] = {}
         children: Dict[int, List[Tuple[int, ...]]] = {}
         node_costs: Dict[int, List[float]] = {}
-        find = egraph.find
-        for cid in sorted(egraph.canonical_classes()):
-            eclass = egraph.classes[cid]
+        for cid in sorted(c for c in egraph.classes if canon[c] == c):
             seen = set()
             class_nodes: List[ENode] = []
             class_children: List[Tuple[int, ...]] = []
             class_costs: List[float] = []
-            for enode in eclass.nodes:
-                canonical = enode.canonicalize(egraph.union_find)
-                if canonical in seen:
+            for enode in egraph.classes[cid].nodes:
+                kids = tuple([canon[c] for c in enode.children])
+                key = (enode.op, kids, enode.payload)
+                if key in seen:
                     continue
-                seen.add(canonical)
-                class_nodes.append(canonical)
-                class_children.append(tuple(find(c) for c in canonical.children))
-                class_costs.append(cost.node_cost(canonical))
+                seen.add(key)
+                if kids == enode.children:
+                    kids = enode.children  # already canonical: keep the e-node and its tuple
+                else:
+                    enode = ENode(enode.op, kids, enode.payload)
+                class_nodes.append(enode)
+                class_children.append(kids)
+                class_costs.append(node_cost(enode))
             nodes[cid] = class_nodes
             children[cid] = class_children
             node_costs[cid] = class_costs
@@ -79,7 +121,7 @@ class FrozenProblem:
             nodes=nodes,
             children=children,
             node_costs=node_costs,
-            roots=[find(r) for r in roots],
+            roots=[canon[r] for r in roots],
             mode=cost.mode,
         )
 
@@ -118,16 +160,34 @@ class FrozenProblem:
     def greedy_choice(self) -> Choice:
         """Bottom-up greedy fixpoint (the frozen-problem twin of
         :func:`repro.extraction.greedy.greedy_extract`); covers every class
-        that is acyclically realizable."""
+        that is acyclically realizable.
+
+        A worklist run of the sweep fixpoint (``sweep_greedy_choice`` in
+        ``tests/oracles.py``): the first sweep visits every class in id
+        order; later, only a class with a child whose best cost changed is
+        re-evaluated, at the point a sweep would next reach it — in the
+        current sweep when its id is higher than the changed child's, in the
+        next sweep otherwise.  A class whose children did not change cannot
+        improve by more than the tolerance, so the skipped evaluations are
+        no-ops and the result (dict order included) is the sweep's.
+        """
         best_cost: Dict[int, float] = {}
         choice: Choice = {}
-        ordered = sorted(self.nodes)
-        changed = True
-        while changed:
-            changed = False
-            for cid in ordered:
-                costs = self.node_costs[cid]
-                kids = self.children[cid]
+        children = self.children
+        node_costs = self.node_costs
+        users = self.users
+        sum_mode = self.mode == "sum"
+        inf = float("inf")
+        sweep = list(self.class_ids)  # ascending, hence already a heap
+        queued = set(sweep)
+        while sweep:
+            upcoming = set()
+            while sweep:
+                cid = heapq.heappop(sweep)
+                queued.discard(cid)
+                costs = node_costs[cid]
+                kids = children[cid]
+                improved = False
                 for i in range(len(costs)):
                     child_costs = []
                     ok = True
@@ -138,40 +198,86 @@ class FrozenProblem:
                         child_costs.append(best_cost[ch])
                     if not ok:
                         continue
-                    if self.mode == "sum":
+                    if sum_mode:
                         total = costs[i] + sum(child_costs)
                     else:
                         total = costs[i] + (max(child_costs) if child_costs else 0.0)
-                    if total < best_cost.get(cid, float("inf")) - 1e-12:
+                    if total < best_cost.get(cid, inf) - 1e-12:
                         best_cost[cid] = total
                         choice[cid] = i
-                        changed = True
+                        improved = True
+                if not improved:
+                    continue
+                for user, _ in users.get(cid, ()):
+                    if user <= cid:
+                        upcoming.add(user)
+                    elif user not in queued:
+                        queued.add(user)
+                        heapq.heappush(sweep, user)
+            sweep = sorted(upcoming)
+            queued = upcoming
         return choice
 
     def random_choice(self, rng: random.Random, fallback: Optional[Choice] = None) -> Choice:
         """Random bottom-up valid choice; classes that never become
-        realizable fall back to ``fallback`` (normally the greedy choice)."""
+        realizable fall back to ``fallback`` (normally the greedy choice).
+
+        A worklist run of the pass loop (``sweep_random_choice`` in
+        ``tests/oracles.py``): each node counts its unchosen distinct
+        children, and a class is visited — in the pass and id order the
+        sweep would reach it — only once one of its nodes is ready, so it
+        draws from the same candidate list with the same rng state.
+        """
         chosen: Choice = {}
-        remaining = set(self.nodes)
-        progress = True
-        while remaining and progress:
-            progress = False
-            for cid in sorted(remaining):
-                candidates = [
-                    i
-                    for i, kids in enumerate(self.children[cid])
-                    if all(ch in chosen for ch in kids)
-                ]
-                if not candidates:
-                    continue
+        children = self.children
+        users = self.users
+        first_node = self._first_node
+        missing = list(self._arity)  # per node: distinct children not chosen yet
+        batch = list(self._leaf_classes)  # ascending, hence already a heap
+        scheduled = set(batch)
+        while batch:
+            upcoming = []
+            while batch:
+                cid = heapq.heappop(batch)
+                base = first_node[cid]
+                candidates = [i for i in range(len(children[cid])) if not missing[base + i]]
                 chosen[cid] = candidates[rng.randrange(len(candidates))]
+                for user, i in users.get(cid, ()):
+                    if user in chosen:
+                        continue
+                    slot = first_node[user] + i
+                    missing[slot] -= 1
+                    if not missing[slot] and user not in scheduled:
+                        scheduled.add(user)
+                        if user > cid:
+                            heapq.heappush(batch, user)
+                        else:
+                            upcoming.append(user)
+            batch = sorted(upcoming)
+        if fallback and len(chosen) < len(self.nodes):
+            # Built and thinned exactly like the sweep's ``remaining`` set, so
+            # fallback classes are filled in the same (set iteration) order.
+            # ``discard`` never resizes the table; ``difference_update`` may,
+            # which would reorder it.
+            remaining = set(self.nodes)
+            for cid in chosen:
                 remaining.discard(cid)
-                progress = True
-        if fallback:
             for cid in remaining:
                 if cid in fallback:
                     chosen[cid] = fallback[cid]
         return chosen
+
+    def reachable(self, choice: Choice) -> set:
+        """The classes reachable from the roots under ``choice``."""
+        reachable = set()
+        stack = list(self.roots)
+        while stack:
+            cid = stack.pop()
+            if cid in reachable:
+                continue
+            reachable.add(cid)
+            stack.extend(self.children[cid][choice[cid]])
+        return reachable
 
     # -- cycle-safety structures -------------------------------------------
 
@@ -183,44 +289,58 @@ class FrozenProblem:
         """
         order: Dict[int, int] = {}
         on_stack: set = set()
-        counter = 0
+        children = self.children
         for start in sorted(choice):
             if start in order:
                 continue
-            stack: List[Tuple[int, bool]] = [(start, False)]
+            # Class ids are non-negative: ``~cid`` on the stack marks a class
+            # whose children are all placed (no tuple per visit).
+            stack = [start]
             while stack:
-                cid, expanded = stack.pop()
-                if expanded:
+                cid = stack.pop()
+                if cid < 0:
+                    cid = ~cid
                     on_stack.discard(cid)
-                    order[cid] = counter
-                    counter += 1
+                    order[cid] = len(order)
                     continue
                 if cid in order:
                     continue
                 if cid in on_stack:
                     raise ValueError(f"cyclic extraction through e-class {cid}")
                 on_stack.add(cid)
-                stack.append((cid, True))
-                for ch in self.children[cid][choice[cid]]:
+                stack.append(~cid)
+                for ch in children[cid][choice[cid]]:
                     if ch not in order:
                         if ch not in choice:
                             raise ValueError(
                                 f"choice is missing e-class {ch} (child of class {cid})"
                             )
-                        stack.append((ch, False))
+                        stack.append(ch)
         return order
 
-    def flip_candidates(self, order: Dict[int, int]) -> Dict[int, List[int]]:
+    def flip_candidates(
+        self, order: Dict[int, int], classes: Optional[Iterable[int]] = None
+    ) -> Dict[int, List[int]]:
         """Per class, the candidate node indices that are cycle-safe under
         ``order``: every child strictly precedes the class.  Any sequence of
         flips within these sets keeps ``order`` a valid topological order of
         the extraction, so acyclicity is an invariant, not a per-move check.
+
+        ``classes`` restricts the result to those (ordered) classes — the
+        chains ask only for the root-reachable ones; by default every class
+        of ``order`` is covered.
         """
+        children = self.children
+        position_of = order.get
         safe: Dict[int, List[int]] = {}
-        for cid, position in order.items():
+        for cid in order if classes is None else classes:
+            position = order[cid]
             indices = []
-            for i, kids in enumerate(self.children[cid]):
-                if all(ch in order and order[ch] < position for ch in kids):
+            for i, kids in enumerate(children[cid]):
+                for ch in kids:
+                    if position_of(ch, position) >= position:
+                        break
+                else:
                     indices.append(i)
             safe[cid] = indices
         return safe

@@ -166,36 +166,38 @@ def optimize_window(index: int, sub: Aig, cfg: WindowOptConfig) -> Tuple[WindowR
                     plog = stack.enter_context(obs_provenance.recording())
                 if obs_resource.sampling_enabled():
                     # Same per-window scoping for resource samples, so the
-                    # merge below can stamp the window index on each one.
+                    # merge below can stamp the window index on each one —
+                    # the saturation sample and the portfolio-round notes
+                    # alike, inline or in a pool worker.
                     wsampler = stack.enter_context(obs_resource.sampling())
                 sat_profile = engine.run()
-            if sat_profile.resource is not None:
-                report.resource = dict(sat_profile.resource)
-                report.resource["extra"] = {
-                    **report.resource.get("extra", {}),
-                    "window": index,
-                }
-            report.saturation_stop = sat_profile.stop_reason
-            report.saturation_iterations = sat_profile.num_iterations
-            report.egraph_nodes = sat_profile.final_nodes
-            cost = guiding_cost(cfg.cost)
-            if cfg.method == "greedy":
-                extraction = greedy_extract(circuit.egraph, cost=cost)
-            else:
-                result = portfolio_extract(
-                    circuit.egraph,
-                    list(circuit.output_classes),
-                    cost=cost,
-                    config=PortfolioConfig(
-                        chains=cfg.chains,
-                        move_budget=cfg.moves,
-                        migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
-                        seed=window_seed(cfg.seed, index),
-                    ),
-                    seed_solution=circuit.original_extraction(),
-                )
-                extraction = result.extraction
-                report.extract_cost = result.cost
+                if sat_profile.resource is not None:
+                    report.resource = dict(sat_profile.resource)
+                    report.resource["extra"] = {
+                        **report.resource.get("extra", {}),
+                        "window": index,
+                    }
+                report.saturation_stop = sat_profile.stop_reason
+                report.saturation_iterations = sat_profile.num_iterations
+                report.egraph_nodes = sat_profile.final_nodes
+                cost = guiding_cost(cfg.cost)
+                if cfg.method == "greedy":
+                    extraction = greedy_extract(circuit.egraph, cost=cost)
+                else:
+                    result = portfolio_extract(
+                        circuit.egraph,
+                        list(circuit.output_classes),
+                        cost=cost,
+                        config=PortfolioConfig(
+                            chains=cfg.chains,
+                            move_budget=cfg.moves,
+                            migrate_every=max(1, cfg.moves // (2 * cfg.chains)),
+                            seed=window_seed(cfg.seed, index),
+                        ),
+                        seed_solution=circuit.original_extraction(),
+                    )
+                    extraction = result.extraction
+                    report.extract_cost = result.cost
             optimized = extraction_to_aig(circuit, extraction, name=sub.name).strash()
             if plog is not None:
                 try:

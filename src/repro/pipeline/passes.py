@@ -236,6 +236,9 @@ def _pass_saturate(
         raise PipelineError(
             f"unknown scheduler {scheduler!r}; choose from {', '.join(SCHEDULERS)}"
         )
+    for name, value in (("iters", iters), ("max_nodes", max_nodes), ("time_limit", time_limit)):
+        if value < 0:
+            raise PipelineError(f"saturate needs {name} >= 0")
     plan = ctx.partition_plan
     if plan is not None:
         plan.window_config = replace(

@@ -23,10 +23,15 @@
 * :class:`FullCostEvaluator` prices every extraction flip by re-deriving the
   whole cost from scratch (``choice_cost``); it pins the delta-cost
   evaluator (``repro.extraction.engine.delta``) move by move.
+* :func:`sweep_greedy_choice` and :func:`sweep_random_choice` build the
+  extraction starts by whole sweeps over every class until nothing changes;
+  they pin the worklist ``FrozenProblem.greedy_choice`` and
+  ``FrozenProblem.random_choice``.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -419,3 +424,66 @@ class FullCostEvaluator:
         self.evals += 1
         self.touched += self.problem.num_classes
         return self.cost
+
+
+def sweep_greedy_choice(problem: FrozenProblem) -> Choice:
+    """Bottom-up greedy fixpoint by whole sweeps: every class, in id order,
+    until one sweep changes nothing.  Pins the worklist
+    ``FrozenProblem.greedy_choice``."""
+    best_cost: Dict[int, float] = {}
+    choice: Choice = {}
+    ordered = sorted(problem.nodes)
+    changed = True
+    while changed:
+        changed = False
+        for cid in ordered:
+            costs = problem.node_costs[cid]
+            kids = problem.children[cid]
+            for i in range(len(costs)):
+                child_costs = []
+                ok = True
+                for ch in kids[i]:
+                    if ch not in best_cost:
+                        ok = False
+                        break
+                    child_costs.append(best_cost[ch])
+                if not ok:
+                    continue
+                if problem.mode == "sum":
+                    total = costs[i] + sum(child_costs)
+                else:
+                    total = costs[i] + (max(child_costs) if child_costs else 0.0)
+                if total < best_cost.get(cid, float("inf")) - 1e-12:
+                    best_cost[cid] = total
+                    choice[cid] = i
+                    changed = True
+    return choice
+
+
+def sweep_random_choice(
+    problem: FrozenProblem, rng: random.Random, fallback: Optional[Choice] = None
+) -> Choice:
+    """Random bottom-up choice by whole passes over the unchosen classes, in
+    id order, until a pass chooses nothing.  Pins the worklist
+    ``FrozenProblem.random_choice`` (same rng draws, same dict order)."""
+    chosen: Choice = {}
+    remaining = set(problem.nodes)
+    progress = True
+    while remaining and progress:
+        progress = False
+        for cid in sorted(remaining):
+            candidates = [
+                i
+                for i, kids in enumerate(problem.children[cid])
+                if all(ch in chosen for ch in kids)
+            ]
+            if not candidates:
+                continue
+            chosen[cid] = candidates[rng.randrange(len(candidates))]
+            remaining.discard(cid)
+            progress = True
+    if fallback:
+        for cid in remaining:
+            if cid in fallback:
+                chosen[cid] = fallback[cid]
+    return chosen

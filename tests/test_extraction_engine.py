@@ -7,16 +7,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig.simulate import random_simulate
 from repro.benchgen import control, epfl
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.conversion.eg2dag import extraction_to_aig
-from repro.egraph.language import AND, OR
-from repro.egraph.egraph import EGraph
+from repro.egraph.language import AND, NOT, OR, VAR
+from repro.egraph.egraph import EGraph, ENode
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.cost import DepthCost, NodeCountCost, extraction_cost
+from repro.extraction.cost import DepthCost, NodeCountCost, OperatorCost, extraction_cost
 from repro.extraction.engine import (
     ChainSpec,
     DeltaCostEvaluator,
@@ -32,7 +34,7 @@ from repro.extraction.engine import (
 from repro.extraction.engine import chains as engine_chains
 from repro.extraction.greedy import greedy_extract
 
-from oracles import FullCostEvaluator
+from oracles import FullCostEvaluator, sweep_greedy_choice, sweep_random_choice
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,101 @@ class TestFrozenProblem:
             assert choice[cid] in indices  # the current choice is always safe
             for i in indices:
                 assert all(order[ch] < order[cid] for ch in problem.children[cid][i])
+
+
+    def test_flip_candidates_for_reachable_classes_match_full(self, saturated_circuit):
+        _, circuit = saturated_circuit
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, DepthCost())
+        choice = problem.random_choice(random.Random(4), fallback=problem.greedy_choice())
+        order = problem.toposort(choice)
+        full = problem.flip_candidates(order)
+        flippable, safe = engine_chains._flippable(problem, choice, order)
+        reachable = problem.reachable(choice)
+        assert set(safe) == reachable < set(full)
+        assert all(safe[cid] == full[cid] for cid in reachable)
+        assert flippable == [cid for cid in sorted(reachable) if len(full[cid]) > 1]
+
+    def test_users_index_lists_every_distinct_child_once(self, saturated_circuit):
+        _, circuit = saturated_circuit
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, DepthCost())
+        expected = {}
+        for cid in sorted(problem.nodes):
+            for i, kids in enumerate(problem.children[cid]):
+                for ch in sorted(set(kids)):
+                    expected.setdefault(ch, set()).add((cid, i))
+        assert {ch: set(entries) for ch, entries in problem.users.items()} == expected
+        assert sum(map(len, problem.users.values())) == sum(map(len, expected.values()))
+
+
+def _unrealizable_problem() -> FrozenProblem:
+    """Hand-built classes, some only cyclically realizable: 9 and 33 need
+    each other and 64 needs itself.  Ids are spread so set iteration order
+    differs from id order."""
+    children = {
+        0: [()],
+        1000: [(0,)],
+        517: [(1000, 0), (33,)],
+        9: [(33,)],
+        33: [(9, 0)],
+        64: [(64,), (64, 9)],
+        8: [(517, 1000), (1000, 517), (0,)],
+    }
+    nodes = {
+        cid: [ENode(AND if len(kids) > 1 else NOT, kids) for kids in per_class]
+        for cid, per_class in children.items()
+    }
+    nodes[0] = [ENode(VAR, (), "x")]
+    costs = {cid: [1.0] * len(per_class) for cid, per_class in children.items()}
+    return FrozenProblem(nodes=nodes, children=children, node_costs=costs, roots=[8], mode="depth")
+
+
+class TestWorklistStarts:
+    """Worklist ``greedy_choice``/``random_choice`` against the sweep oracles:
+    the same choice in the same dict order, and the same rng draws."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        circuit_seed=st.integers(min_value=0, max_value=2**31 - 1),
+        rng_seed=st.integers(min_value=0, max_value=2**31 - 1),
+        iters=st.integers(min_value=1, max_value=2),
+        cost_index=st.integers(min_value=0, max_value=2),
+    )
+    def test_fuzzed_parity_with_sweeps(self, circuit_seed, rng_seed, iters, cost_index):
+        aig = control.random_control(num_inputs=8, num_outputs=4, terms_per_output=3, seed=circuit_seed)
+        circuit = aig_to_egraph(aig)
+        SaturationEngine(
+            circuit.egraph,
+            boolean_rules(),
+            EngineLimits(max_iterations=iters, max_nodes=3_000, time_limit=30.0),
+        ).run()
+        cost = (
+            DepthCost(),
+            NodeCountCost(),
+            OperatorCost(weights={AND: 0.7, OR: 1.3, NOT: 0.1}, mode="sum"),
+        )[cost_index]
+        problem = FrozenProblem.build(circuit.egraph, circuit.output_classes, cost)
+        greedy = problem.greedy_choice()
+        assert list(greedy.items()) == list(sweep_greedy_choice(problem).items())
+        worklist_rng, sweep_rng = random.Random(rng_seed), random.Random(rng_seed)
+        for _ in range(2):
+            fast = problem.random_choice(worklist_rng, fallback=greedy)
+            slow = sweep_random_choice(problem, sweep_rng, fallback=greedy)
+            assert list(fast.items()) == list(slow.items())
+            assert worklist_rng.getstate() == sweep_rng.getstate()
+
+    @pytest.mark.parametrize("rng_seed", range(6))
+    def test_unrealizable_classes_fall_back_in_sweep_order(self, rng_seed):
+        problem = _unrealizable_problem()
+        greedy = problem.greedy_choice()
+        assert list(greedy.items()) == list(sweep_greedy_choice(problem).items())
+        assert set(greedy) == {0, 1000, 517, 8}
+        fallback = {cid: 0 for cid in problem.nodes}
+        worklist_rng, sweep_rng = random.Random(rng_seed), random.Random(rng_seed)
+        fast = problem.random_choice(worklist_rng, fallback=fallback)
+        slow = sweep_random_choice(problem, sweep_rng, fallback=fallback)
+        assert list(fast.items()) == list(slow.items())
+        assert set(list(fast)[-3:]) == {9, 33, 64}
+        assert worklist_rng.getstate() == sweep_rng.getstate()
 
 
 class TestDeltaFullParity:

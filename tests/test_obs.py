@@ -13,7 +13,8 @@ from repro.benchgen import control
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
 from repro.engine import EngineLimits, SaturationEngine
-from repro.extraction.engine import PortfolioConfig, portfolio_extract
+from repro.extraction.cost import DepthCost
+from repro.extraction.engine import DEFAULT_CHAIN_SPECS, ChainSpec, PortfolioConfig, portfolio_extract
 from repro.obs import (
     CampaignProgress,
     Tracer,
@@ -345,6 +346,31 @@ class TestProfileByteCompat:
             config=PortfolioConfig(chains=2, move_budget=32, migrate_every=16, seed=7),
         )
         expected = (FIXTURES / "extraction_profile.json").read_text()
+        assert _canonical(result.profile.to_dict()) == expected
+
+    def test_depth_extraction_profile_to_dict(self):
+        """Depth mode with every chain kind, migrations and a restart: the
+        counters (``evals``, ``classes_touched``, accepts, restarts) pin the
+        trajectories of the depth evaluator and the random starts."""
+        circuit = self._circuit()
+        SaturationEngine(
+            circuit.egraph,
+            boolean_rules(),
+            EngineLimits(max_iterations=2, max_nodes=4_000, time_limit=30.0),
+        ).run()
+        specs = DEFAULT_CHAIN_SPECS[:3] + (
+            ChainSpec(kind="restart", initial="random", temperature=8.0, restart_after=6),
+        )
+        result = portfolio_extract(
+            circuit.egraph,
+            circuit.output_classes,
+            cost=DepthCost(),
+            config=PortfolioConfig(
+                chains=4, move_budget=320, migrate_every=16, seed=5, chain_specs=specs
+            ),
+            seed_solution=circuit.original_extraction(),
+        )
+        expected = (FIXTURES / "extraction_profile_depth.json").read_text()
         assert _canonical(result.profile.to_dict()) == expected
 
 

@@ -293,6 +293,27 @@ class TestExtractParamErrors:
             Pipeline.from_script(f"st; dag2eg; extract({params})").run_flow(small_mem_ctrl)
 
 
+class TestSaturateParamErrors:
+    @pytest.mark.parametrize(
+        "params, name",
+        [("iters=-1", "iters"), ("max_nodes=-5", "max_nodes"), ("time_limit=-0.5", "time_limit")],
+    )
+    @pytest.mark.parametrize(
+        "prefix, suffix", [("dag2eg", ""), ("partition(k=30)", "; stitch")]
+    )
+    def test_negative_numbers_rejected(self, small_mem_ctrl, params, name, prefix, suffix):
+        # Whole-circuit and staged (per-window) saturation validate alike.
+        script = f"st; {prefix}; saturate({params}){suffix}"
+        with pytest.raises(PipelineError, match=f"saturate needs {name} >= 0"):
+            Pipeline.from_script(script).run_flow(small_mem_ctrl)
+
+    def test_zero_is_accepted(self, small_mem_ctrl):
+        result = Pipeline.from_script("st; dag2eg; saturate(iters=0); extract(greedy)").run_flow(
+            small_mem_ctrl
+        )
+        assert result.metrics["saturation_stop_reason"] == "iteration_limit"
+
+
 class TestFlowsAsPipelines:
     def test_baseline_pipeline_matches_recipe(self):
         pipeline = baseline_pipeline(BaselineConfig(sop_rounds=1, map_rounds=1, use_choices=False))

@@ -3,6 +3,8 @@ byte-parity, and inline == pool merging across the fan-out layers."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.conversion.dag2eg import aig_to_egraph
 from repro.egraph.rules import boolean_rules
 from repro.engine.engine import EngineLimits, SaturationEngine
@@ -139,12 +141,24 @@ class TestPartitionSampling:
             if sample.curve
         )
 
-    def test_pool_matches_inline_modulo_pid(self):
+    @staticmethod
+    def _sample_keys(sampler):
+        """Every sample in merge order: label, tags and counts, minus the
+        pid and the RSS watermark."""
+        return [
+            (sample.label, sorted(sample.extra.items()), sample.adds, sample.unions, sample.curve)
+            for sample in sampler.samples
+        ]
+
+    @pytest.fixture(scope="class")
+    def log2_runs(self):
         from repro.benchgen import epfl
 
         aig = epfl.build("log2", preset="test")
-        inline_outcome, inline_sampler = self._run(aig, workers=0)
-        pooled_outcome, pooled_sampler = self._run(aig, workers=2)
+        return self._run(aig, workers=0), self._run(aig, workers=2)
+
+    def test_pool_matches_inline_modulo_pid(self, log2_runs):
+        (inline_outcome, inline_sampler), (pooled_outcome, pooled_sampler) = log2_runs
         assert self._curve_keys(inline_sampler) == self._curve_keys(pooled_sampler)
         inline_res = inline_outcome.profile.resource
         pooled_res = pooled_outcome.profile.resource
@@ -152,6 +166,15 @@ class TestPartitionSampling:
         assert inline_res["adds"] == pooled_res["adds"]
         assert inline_res["unions"] == pooled_res["unions"]
         assert len(pooled_res["pids"]) >= 1
+
+    def test_window_samples_match_inline_and_pooled(self, log2_runs):
+        # The window's sampler scope covers extraction too, so its
+        # portfolio-round notes carry ``window=`` inline as in a worker.
+        (_, inline_sampler), (_, pooled_sampler) = log2_runs
+        assert self._sample_keys(inline_sampler) == self._sample_keys(pooled_sampler)
+        rounds = [s for s in inline_sampler.samples if s.label == "portfolio round"]
+        assert rounds
+        assert all({"window", "chain", "round"} <= set(s.extra) for s in rounds)
 
     def test_partition_profile_resource_none_when_off(self):
         from repro.benchgen import epfl
